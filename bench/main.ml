@@ -34,7 +34,7 @@ module Wash_plan = Pdw_wash.Wash_plan
 module Metrics = Pdw_wash.Metrics
 module Report = Pdw_wash.Report
 
-module Domain_pool = Pdw_wash.Domain_pool
+module Domain_pool = Pdw_pool.Domain_pool
 module Router = Pdw_synth.Router
 module Trace = Pdw_obs.Trace
 module Counters = Pdw_obs.Counters
@@ -385,7 +385,7 @@ let iso8601_now () =
     t.Unix.tm_sec
 
 let run_perf () =
-  let module J = Pdw_wash.Json_export in
+  let module J = Pdw_obs.Json in
   let now () = Unix.gettimeofday () in
   let timed f =
     let t0 = now () in
@@ -478,29 +478,29 @@ let run_perf () =
   let json =
     J.Obj
       [
-        ("schema", J.String "pathdriver-wash/bench-solver/v4");
-        ("mode", J.String "perf");
-        ("git_commit", J.String (git_commit ()));
-        ("generated_at", J.String (iso8601_now ()));
+        ("schema", J.Str "pathdriver-wash/bench-solver/v4");
+        ("mode", J.Str "perf");
+        ("git_commit", J.Str (git_commit ()));
+        ("generated_at", J.Str (iso8601_now ()));
         ("domains", J.Int pool_domains);
         ( "benchmarks",
-          J.List
+          J.Arr
             (List.map
                (fun (name, (pdw, pdw_ms), (dawo, dawo_ms)) ->
                  J.Obj
                    [
-                     ("name", J.String name);
+                     ("name", J.Str name);
                      ("pdw", J.Obj (planner_fields pdw_ms pdw));
                      ("dawo", J.Obj (planner_fields dawo_ms dawo));
                    ])
                per_bench) );
         ( "storage",
-          J.List
+          J.Arr
             (List.map
                (fun (name, holds, t_hold, (pdw, pdw_ms), (dawo, dawo_ms)) ->
                  J.Obj
                    [
-                     ("name", J.String name);
+                     ("name", J.Str name);
                      ("holds", J.Int holds);
                      ("t_hold_s", J.Int t_hold);
                      ("pdw", J.Obj (planner_fields pdw_ms pdw));
@@ -514,7 +514,7 @@ let run_perf () =
         ( "exact_ilp",
           J.Obj
             [
-              ("name", J.String "Motivating");
+              ("name", J.Str "Motivating");
               ("warm_start", J.Obj (planner_fields warm_ms warm));
               ("cold_start", J.Obj (planner_fields cold_ms cold));
             ] );
@@ -661,7 +661,7 @@ let run_serve () =
   let module Server = Pdw_service.Server in
   let module Loadgen = Pdw_service.Loadgen in
   let module Protocol = Pdw_service.Protocol in
-  let module J = Pdw_wash.Json_export in
+  let module J = Pdw_obs.Json in
   let specs =
     List.map (fun name -> Protocol.spec (Protocol.Benchmark name)) serve_benchmarks
   in
@@ -772,10 +772,10 @@ let run_serve () =
             [
               ("workers", J.Int workers);
               ( "queue_depth_peaks",
-                J.List (List.map (fun p -> J.Int p) peaks) );
-              ("cached", J.of_obs (Loadgen.summary_json cached));
+                J.Arr (List.map (fun p -> J.Int p) peaks) );
+              ("cached", Loadgen.summary_json cached);
               ("cached_server", server_interval tel1 tel0);
-              ("planner", J.of_obs (Loadgen.summary_json planner));
+              ("planner", Loadgen.summary_json planner);
               ("planner_server", server_interval tel2 tel1);
             ] ))
   in
@@ -827,21 +827,21 @@ let run_serve () =
       | Error _ -> []
       | Ok j -> (
         match Pdw_obs.Json.member "fleet" j with
-        | Some f -> [ ("fleet", J.of_obs f) ]
+        | Some f -> [ ("fleet", f) ]
         | None -> []))
   in
   let json =
     J.Obj
       ([
-         ("schema", J.String "pathdriver-wash/bench-serve/v5");
-         ("git_commit", J.String (git_commit ()));
-         ("generated_at", J.String (iso8601_now ()));
+         ("schema", J.Str "pathdriver-wash/bench-serve/v5");
+         ("git_commit", J.Str (git_commit ()));
+         ("generated_at", J.Str (iso8601_now ()));
          ("host_cores", J.Int host_cores);
          ("tolerance", J.Float serve_tolerance);
          ( "benchmarks",
-           J.List (List.map (fun n -> J.String n) serve_benchmarks) );
+           J.Arr (List.map (fun n -> J.Str n) serve_benchmarks) );
          ("planner_spec_count", J.Int planner_spec_count);
-         ("runs", J.List runs);
+         ("runs", J.Arr runs);
        ]
       @ carried_fleet)
   in
@@ -911,28 +911,6 @@ let spawn_self args =
     (Array.of_list (Sys.executable_name :: args))
     Unix.stdin Unix.stdout Unix.stderr
 
-let wait_for_daemon path ~timeout_s =
-  let module Client = Pdw_service.Client in
-  let module Protocol = Pdw_service.Protocol in
-  let deadline = Unix.gettimeofday () +. timeout_s in
-  let rec go () =
-    let ok =
-      match Client.connect path with
-      | exception Unix.Unix_error _ -> false
-      | c ->
-        let r = Client.request c Protocol.Ping in
-        Client.close c;
-        r = Ok Protocol.Pong
-    in
-    if ok then true
-    else if Unix.gettimeofday () > deadline then false
-    else begin
-      Unix.sleepf 0.05;
-      go ()
-    end
-  in
-  go ()
-
 let kill_and_reap pids =
   let deadline = Unix.gettimeofday () +. 10.0 in
   let rec reap pending =
@@ -993,12 +971,12 @@ let run_fleet () =
         if
           not
             (List.for_all
-               (fun s -> wait_for_daemon s ~timeout_s:15.0)
+               (fun s -> Client.wait_for_daemon s ~timeout_s:15.0)
                shard_sockets)
         then failwith "fleet bench: shard daemons did not come up";
         router_pid :=
           Some (spawn_self ([ "routerd"; router_socket ] @ shard_sockets));
-        if not (wait_for_daemon router_socket ~timeout_s:15.0) then
+        if not (Client.wait_for_daemon router_socket ~timeout_s:15.0) then
           failwith "fleet bench: router did not come up";
         let cached =
           Loadgen.run ~socket_path:router_socket ~clients:fleet_clients

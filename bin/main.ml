@@ -922,28 +922,6 @@ let write_pidfile path pid =
   Out_channel.with_open_text path (fun oc ->
       Printf.fprintf oc "%d\n" pid)
 
-(* Poll until the daemon behind [path] answers a ping (it unlinks and
-   rebinds its socket on start, so existence alone proves nothing). *)
-let wait_for_daemon path ~timeout_s =
-  let deadline = Unix.gettimeofday () +. timeout_s in
-  let rec go () =
-    let ok =
-      match Client.connect path with
-      | exception Unix.Unix_error _ -> false
-      | c ->
-        let r = Client.request c Protocol.Ping in
-        Client.close c;
-        r = Ok Protocol.Pong
-    in
-    if ok then true
-    else if Unix.gettimeofday () > deadline then false
-    else begin
-      Unix.sleepf 0.05;
-      go ()
-    end
-  in
-  go ()
-
 (* Spawn one shard daemon: fork/exec of this very binary running
    [pdw serve] — never a bare fork, which is unsafe once the parent has
    spawned domains or threads. *)
@@ -978,7 +956,7 @@ let cmd_fleet_start socket run_dir shards workers queue_limit cache_size
   in
   let shard_sockets = List.init shards (shard_socket run_dir) in
   let ready =
-    List.for_all (fun p -> wait_for_daemon p ~timeout_s:15.0) shard_sockets
+    List.for_all (fun p -> Client.wait_for_daemon p ~timeout_s:15.0) shard_sockets
   in
   if not ready then begin
     Printf.eprintf "pdw fleet: shard daemons did not come up; killing fleet\n";

@@ -1,35 +1,18 @@
 (** JSON export of optimization results, for downstream tooling
-    (dashboards, chip drivers, regression tracking).  Self-contained
-    writer — no external JSON dependency. *)
+    (dashboards, chip drivers, regression tracking), as
+    {!Pdw_obs.Json.t} values.  The printed text is what [pdw run --json]
+    emits and what the planning service serves byte for byte: it
+    round-trips exactly through {!Pdw_obs.Json.parse} and
+    {!Pdw_obs.Json.to_string}. *)
 
-(** A minimal JSON value. *)
-type json =
-  | Null
-  | Bool of bool
-  | Int of int
-  | Float of float
-  | String of string
-  | List of json list
-  | Obj of (string * json) list
+(** {!Pdw_obs.Json.to_string}. *)
+val to_string : Pdw_obs.Json.t -> string
 
-(** Serialize with proper string escaping (control characters
-    U+0000–U+001F emitted as [\uXXXX]); objects keep field order.
-    Floats print in the shortest form that parses back to the same
-    value, so [Pdw_obs.Json.parse (to_string j)] recovers [to_obs j]
-    exactly — the property the service wire protocol depends on. *)
-val to_string : json -> string
-
-(** Convert to the shared observability JSON value ([Pdw_obs.Json.t]). *)
-val to_obs : json -> Pdw_obs.Json.t
-
-(** Inverse of [to_obs]. *)
-val of_obs : Pdw_obs.Json.t -> json
-
-val metrics : Metrics.t -> json
+val metrics : Metrics.t -> Pdw_obs.Json.t
 
 (** Every entry with timing, kind, path cells and (for washes) targets. *)
-val schedule : Pdw_synth.Schedule.t -> json
+val schedule : Pdw_synth.Schedule.t -> Pdw_obs.Json.t
 
 (** The full outcome: benchmark stats, metrics, schedule, washes,
     convergence diagnostics. *)
-val outcome : Wash_plan.outcome -> json
+val outcome : Wash_plan.outcome -> Pdw_obs.Json.t

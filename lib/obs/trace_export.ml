@@ -1,30 +1,15 @@
-(* pdw_obs sits below every other library, so it carries its own
-   minimal JSON emitter rather than reusing the planner's Json_export. *)
-
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+(* A JSON string literal, quoted and escaped exactly as [Json] prints
+   one. *)
+let quote s = Json.to_string (Json.Str s)
 
 let micros seconds = Int64.of_float (seconds *. 1e6)
 
 let event_json buf epoch (e : Trace.event) =
   Buffer.add_string buf
     (Printf.sprintf
-       "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%Ld,\"dur\":%Ld,\"pid\":1,\"tid\":%d"
-       (escape e.Trace.name)
-       (escape (if e.Trace.cat = "" then "pdw" else e.Trace.cat))
+       "{\"name\":%s,\"cat\":%s,\"ph\":\"X\",\"ts\":%Ld,\"dur\":%Ld,\"pid\":1,\"tid\":%d"
+       (quote e.Trace.name)
+       (quote (if e.Trace.cat = "" then "pdw" else e.Trace.cat))
        (micros (e.Trace.ts -. epoch))
        (micros e.Trace.dur) e.Trace.tid);
   (match e.Trace.args with
@@ -35,7 +20,7 @@ let event_json buf epoch (e : Trace.event) =
       (fun i (k, v) ->
         if i > 0 then Buffer.add_char buf ',';
         Buffer.add_string buf
-          (Printf.sprintf "\"%s\":\"%s\"" (escape k) (escape v)))
+          (Printf.sprintf "%s:%s" (quote k) (quote v)))
       args;
     Buffer.add_char buf '}');
   Buffer.add_char buf '}'
@@ -56,7 +41,7 @@ let chrome_json () =
   List.iteri
     (fun i (name, _, v) ->
       if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Printf.sprintf "\"%s\":%d" (escape name) v))
+      Buffer.add_string buf (Printf.sprintf "%s:%d" (quote name) v))
     nonzero;
   Buffer.add_string buf "}";
   if Trace.dropped () > 0 then

@@ -72,3 +72,25 @@ let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()
 let with_client path f =
   let t = connect path in
   Fun.protect ~finally:(fun () -> close t) (fun () -> f t)
+
+(* A socket file alone proves nothing — daemons replace stale ones on
+   start — so only a [Pong] counts.  The deadline is monotonic. *)
+let wait_for_daemon path ~timeout_s =
+  let deadline = Pdw_obs.Clock.now () +. timeout_s in
+  let rec go () =
+    let up =
+      match connect path with
+      | exception Unix.Unix_error _ -> false
+      | c ->
+        let r = request c Protocol.Ping in
+        close c;
+        r = Ok Protocol.Pong
+    in
+    if up then true
+    else if Pdw_obs.Clock.now () > deadline then false
+    else begin
+      Unix.sleepf 0.05;
+      go ()
+    end
+  in
+  go ()

@@ -27,3 +27,8 @@ val close : t -> unit
 
 (** [with_client path f] connects, runs [f], always closes. *)
 val with_client : string -> (t -> 'a) -> 'a
+
+(** [wait_for_daemon path ~timeout_s] pings [path] every 50 ms until a
+    daemon answers [Pong] ([true]) or [timeout_s] seconds pass on the
+    monotonic clock ([false]). *)
+val wait_for_daemon : string -> timeout_s:float -> bool

@@ -432,3 +432,16 @@ let reply_of_json j =
             else Result.Error "ok reply: unrecognized shape"))))))
   | Some s -> Result.Error (Printf.sprintf "unknown status %S" s)
   | None -> Result.Error "reply: missing \"status\""
+
+(* The one gate that keeps a mixed-rev fleet from exchanging frames
+   neither side can decode: agree on the wire revision up front or say,
+   in a reply both revisions can parse, exactly why not. *)
+let answer_hello ~role ~version ~rev =
+  if rev = wire_rev then
+    Hello_reply { version = Version.version; rev = wire_rev }
+  else
+    Error
+      (Printf.sprintf
+         "protocol rev mismatch: peer %s speaks wire rev %d, this %s (%s) \
+          speaks rev %d"
+         version rev role Version.version wire_rev)

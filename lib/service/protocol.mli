@@ -128,5 +128,11 @@ val reply_to_string : reply -> string
 
 val reply_of_json : Json.t -> (reply, string) result
 
+(** [answer_hello ~role ~version ~rev] answers a peer's {!Hello}:
+    {!Hello_reply} with this build's version when [rev] is {!wire_rev},
+    otherwise a typed [Error] naming both builds and both revisions.
+    [role] (["server"], ["router"]) names this side in the message. *)
+val answer_hello : role:string -> version:string -> rev:int -> reply
+
 (** ["memory"] / ["store"] / ["planned"] — the wire spelling. *)
 val tier_name : tier -> string

@@ -29,12 +29,13 @@
     + a waiter that outlives [job_timeout_ms] gets a [timeout] reply;
       the job itself keeps running and still populates the cache.
 
-    Framing stays off the compute path: each connection gets a reader
-    thread that drains every complete frame a single [read] syscall
-    delivered ({!Wire.Buffered}), batches the replies, and flushes them
-    in one write when the input runs dry ({!Wire.Batch}) — pipelined
-    clients cost one syscall pair per batch.  Worker domains never
-    touch a socket.
+    Framing stays off the compute path: the socket, its accept loop and
+    each connection's reader thread belong to {!Listener}, which drains
+    every complete frame a single [read] syscall delivered
+    ({!Wire.Buffered}), batches the replies, and flushes them in one
+    write when the input runs dry ({!Wire.Batch}) — pipelined clients
+    cost one syscall pair per batch.  Worker domains never touch a
+    socket.
 
     Served outcomes are byte-identical to [pdw run --json] on the same
     spec: workers run the same synthesis/optimize/serialize pipeline

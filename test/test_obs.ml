@@ -423,13 +423,12 @@ let test_json_roundtrip () =
   | Ok v' -> Alcotest.(check bool) "round-trips" true (v = v')
   | Error m -> Alcotest.failf "parse: %s" m
 
-(* Control characters (U+0000–U+001F) must leave [Json_export.to_string]
-   as \uXXXX escapes and come back intact through the shared parser —
-   the service wire protocol ships outcome JSON in exactly this way. *)
+(* Control characters (U+0000–U+001F) must leave [Json.to_string] as
+   \uXXXX escapes and come back intact through the parser — the service
+   wire protocol ships outcome JSON in exactly this way. *)
 let test_json_export_control_chars () =
-  let module J = Pdw_wash.Json_export in
   let s = String.init 0x20 Char.chr in
-  let printed = J.to_string (J.Obj [ ("s", J.String s) ]) in
+  let printed = Json.to_string (Json.Obj [ ("s", Json.Str s) ]) in
   String.iter
     (fun c ->
       Alcotest.(check bool) "no raw control byte in output" true
@@ -441,8 +440,8 @@ let test_json_export_control_chars () =
   | Ok _ -> Alcotest.fail "unexpected shape"
   | Error m -> Alcotest.failf "parse: %s" m
 
-(* The wire-protocol property: any value printed by [Json_export] parses
-   back to the same value with [Pdw_obs.Json.parse].  Floats exercise
+(* The wire-protocol property: any value printed by [Json.to_string]
+   parses back to the same value with [Json.parse].  Floats exercise
    the shortest-round-trip printer; strings exercise escaping. *)
 let json_gen : Pdw_obs.Json.t QCheck2.Gen.t =
   let open QCheck2.Gen in
@@ -478,11 +477,10 @@ let json_gen : Pdw_obs.Json.t QCheck2.Gen.t =
 
 let prop_json_export_roundtrip =
   QCheck2.Test.make
-    ~name:"Pdw_obs.Json.parse (Json_export.to_string j) = j" ~count:500
+    ~name:"Pdw_obs.Json.parse (to_string j) = j" ~count:500
     json_gen
     (fun j ->
-      let module J = Pdw_wash.Json_export in
-      match Json.parse (J.to_string (J.of_obs j)) with
+      match Json.parse (Json.to_string j) with
       | Ok j' -> j' = j
       | Error _ -> false)
 

@@ -504,6 +504,29 @@ let test_server_simple_ops () =
       member_keys
   | _ -> Alcotest.fail "stats"
 
+(* A well-framed payload that is not JSON gets a typed error, and the
+   connection stays usable. *)
+let expect_bad_json_survives path =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  Unix.connect fd (Unix.ADDR_UNIX path);
+  let rd = Wire.Buffered.create fd in
+  let reply () =
+    match Wire.Buffered.read_json rd with
+    | Some j -> Protocol.reply_of_json j
+    | None -> Alcotest.fail "connection closed"
+  in
+  Wire.write_frame fd "{\"op\": not json";
+  (match reply () with
+  | Ok (Protocol.Error m) ->
+    Alcotest.(check bool) "error says bad JSON" true
+      (contains ~needle:"bad JSON" m)
+  | _ -> Alcotest.fail "expected a typed error reply");
+  Wire.write_json fd (Protocol.request_to_json Protocol.Ping);
+  match reply () with
+  | Ok Protocol.Pong -> ()
+  | _ -> Alcotest.fail "ping after bad JSON must still answer pong"
+
 let test_server_bad_requests () =
   with_server @@ fun path _srv ->
   Client.with_client path @@ fun c ->
@@ -511,13 +534,14 @@ let test_server_bad_requests () =
   | Ok (Protocol.Error m) ->
     Alcotest.(check bool) "names the benchmark" true (contains ~needle:"nope" m)
   | _ -> Alcotest.fail "expected an error reply");
-  match
+  (match
     Client.request c
       (Protocol.Submit
          { spec = Protocol.spec (Protocol.Inline "not an assay {"); no_cache = false })
   with
   | Ok (Protocol.Error _) -> ()
-  | _ -> Alcotest.fail "expected a parse-error reply"
+  | _ -> Alcotest.fail "expected a parse-error reply");
+  expect_bad_json_survives path
 
 let test_server_shed () =
   (* One worker, two in-flight slots.  Two long burns fill the slots
@@ -1212,6 +1236,28 @@ let test_cache_tiers () =
 
 (* --- the version handshake --- *)
 
+(* A rev mismatch is a loud typed error — the connection survives and
+   the message names both revisions and the answering side. *)
+let expect_rev_mismatch c ~role =
+  (match
+     Client.request c
+       (Protocol.Hello { version = "test-harness"; rev = Protocol.wire_rev + 1 })
+   with
+  | Ok (Protocol.Error m) ->
+    Alcotest.(check bool) "error names the answering rev" true
+      (contains ~needle:(string_of_int Protocol.wire_rev) m);
+    Alcotest.(check bool) "error names the peer's rev" true
+      (contains ~needle:(string_of_int (Protocol.wire_rev + 1)) m);
+    Alcotest.(check bool) "error names the answering side" true
+      (contains ~needle:("this " ^ role) m)
+  | Ok r ->
+    Alcotest.failf "rev mismatch must be a typed error, got %s"
+      (Json.to_string (Protocol.reply_to_json r))
+  | Error m -> Alcotest.failf "decode failure instead of a typed error: %s" m);
+  match Client.request c Protocol.Ping with
+  | Ok Protocol.Pong -> ()
+  | _ -> Alcotest.fail "connection must survive a refused handshake"
+
 let test_server_hello () =
   with_server @@ fun path _srv ->
   Client.with_client path @@ fun c ->
@@ -1227,24 +1273,7 @@ let test_server_hello () =
     Alcotest.failf "expected hello_reply, got %s"
       (Json.to_string (Protocol.reply_to_json r))
   | Error m -> Alcotest.fail m);
-  (* A rev mismatch is a loud typed error — the connection survives and
-     the message names both revisions. *)
-  (match
-     Client.request c
-       (Protocol.Hello { version = "test-harness"; rev = Protocol.wire_rev + 1 })
-   with
-  | Ok (Protocol.Error m) ->
-    Alcotest.(check bool) "error names the server's rev" true
-      (contains ~needle:(string_of_int Protocol.wire_rev) m);
-    Alcotest.(check bool) "error names the peer's rev" true
-      (contains ~needle:(string_of_int (Protocol.wire_rev + 1)) m)
-  | Ok r ->
-    Alcotest.failf "rev mismatch must be a typed error, got %s"
-      (Json.to_string (Protocol.reply_to_json r))
-  | Error m -> Alcotest.failf "decode failure instead of a typed error: %s" m);
-  match Client.request c Protocol.Ping with
-  | Ok Protocol.Pong -> ()
-  | _ -> Alcotest.fail "connection must survive a refused handshake"
+  expect_rev_mismatch c ~role:"server"
 
 (* --- the persistent tier behind the daemon: warm-store restart --- *)
 
@@ -1427,6 +1456,8 @@ let test_router_end_to_end () =
   (match Client.request c Protocol.Ping with
   | Ok Protocol.Pong -> ()
   | _ -> Alcotest.fail "ping through the router");
+  expect_rev_mismatch c ~role:"router";
+  expect_bad_json_survives path;
   (* Plans routed through the fleet are byte-identical to one-shot
      runs — the router forwards raw frames, so this is structural. *)
   let cached1, _, o1 = submit_ok c (spec_of "pcr") in
@@ -1546,6 +1577,56 @@ let test_loadgen_spec_indices () =
   in
   Alcotest.(check bool) "the seed changes the stream" true (a <> other_seed)
 
+(* --- stale-socket recovery, for both daemons --- *)
+
+(* A socket file with nobody listening, as a crashed daemon leaves it. *)
+let stale_socket () =
+  let path = fresh_socket () in
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind fd (Unix.ADDR_UNIX path);
+  Unix.close fd;
+  Alcotest.(check bool) "stale socket file left behind" true
+    (Sys.file_exists path);
+  path
+
+let pings path =
+  Client.with_client path (fun c ->
+      Client.request c Protocol.Ping = Ok Protocol.Pong)
+
+let server_on path =
+  { (Server.default_config ~socket_path:path) with Server.workers = 1 }
+
+(* No shard ever answers on this path: the router starts with it down. *)
+let router_on path =
+  Router.default_config ~socket_path:path ~shard_sockets:[ fresh_socket () ]
+
+(* Neither daemon may take over a path a live daemon answers on. *)
+let expect_live_path_refused path =
+  let refused name start =
+    match start () with
+    | () -> Alcotest.failf "%s bound over a live daemon" name
+    | exception Unix.Unix_error (Unix.EADDRINUSE, _, _) -> ()
+  in
+  refused "server" (fun () -> Server.stop (Server.start (server_on path)));
+  refused "router" (fun () -> Router.stop (Router.start (router_on path)));
+  Alcotest.(check bool) "the live daemon still answers" true (pings path)
+
+let test_server_stale_socket () =
+  let path = stale_socket () in
+  let srv = Server.start (server_on path) in
+  Fun.protect ~finally:(fun () -> Server.stop srv) @@ fun () ->
+  Alcotest.(check bool) "server answers on the replaced socket" true
+    (pings path);
+  expect_live_path_refused path
+
+let test_router_stale_socket () =
+  let path = stale_socket () in
+  let router = Router.start (router_on path) in
+  Fun.protect ~finally:(fun () -> Router.stop router) @@ fun () ->
+  Alcotest.(check bool) "router answers on the replaced socket" true
+    (pings path);
+  expect_live_path_refused path
+
 let () =
   Alcotest.run "pdw_service"
     [
@@ -1635,6 +1716,8 @@ let () =
           Alcotest.test_case "shutdown request" `Quick
             test_server_shutdown_request;
           Alcotest.test_case "version handshake" `Quick test_server_hello;
+          Alcotest.test_case "stale socket replaced, live one refused" `Quick
+            test_server_stale_socket;
           Alcotest.test_case "warm-store restart serves from disk" `Slow
             test_server_store_restart;
         ] );
@@ -1651,6 +1734,8 @@ let () =
             test_router_end_to_end;
           Alcotest.test_case "seeded verified campaign through the fleet"
             `Slow test_router_loadgen_seeded;
+          Alcotest.test_case "stale socket replaced, live one refused" `Quick
+            test_router_stale_socket;
         ] );
       ( "loadgen",
         [
