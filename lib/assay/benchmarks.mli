@@ -76,6 +76,11 @@ val storage_burst : unit -> t
 (** The storage-pressure assays: name, benchmark. *)
 val storage : unit -> (string * t) list
 
-(** [find name] is the benchmark with that Table II name
+(** Every named benchmark, in listing order: the motivating example
+    (as ["Motivating"]), the Table II rows, the extra protocols and the
+    storage-pressure assays. *)
+val catalog : unit -> (string * t) list
+
+(** [find name] is the [catalog] entry with that name
     (case-insensitive). *)
 val find : string -> t option

@@ -14,7 +14,7 @@ type event = {
 let enabled_flag = Atomic.make false
 let enabled () = Atomic.get enabled_flag
 
-let clock = Atomic.make Unix.gettimeofday
+let clock = Atomic.make Clock.now
 let set_clock f = Atomic.set clock f
 let now () = (Atomic.get clock) ()
 

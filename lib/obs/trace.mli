@@ -1,7 +1,7 @@
 (** Hierarchical timed spans.
 
     A span measures one dynamic extent — a solver phase, a simplex
-    solve, a router flush — with a wall-clock start and duration, the id
+    solve, a router flush — with a monotonic start and duration, the id
     of the domain that ran it, and the stack of enclosing span names
     (its path), so exports can reconstruct the call tree even across
     [Domain_pool] fan-out.
@@ -37,8 +37,8 @@ val enabled : unit -> bool
     direction clears previously recorded events (use [reset]). *)
 val set_enabled : bool -> unit
 
-(** Wall-clock time at which recording was last enabled; Chrome-trace
-    timestamps are reported relative to this. *)
+(** Trace-clock time at which recording was last enabled;
+    Chrome-trace timestamps are reported relative to this. *)
 val epoch : unit -> float
 
 (** [with_span name f] runs [f ()]; when enabled, records a span
@@ -60,6 +60,6 @@ val dropped : unit -> int
 (** Discard all recorded events and the drop count. *)
 val reset : unit -> unit
 
-(** Replace the clock (default [Unix.gettimeofday]); for deterministic
-    tests. *)
+(** Replace the clock (default the monotonic [Clock.now]); for
+    deterministic tests. *)
 val set_clock : (unit -> float) -> unit

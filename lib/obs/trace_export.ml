@@ -56,6 +56,10 @@ let write_chrome path =
   output_string oc "\n";
   close_out oc
 
+let stage_names =
+  [ "synthesis.synthesize"; "plan.necessity"; "plan.grouping"; "plan.paths";
+    "plan.reschedule"; "simplex.solve"; "bb.node"; "router.flush" ]
+
 let stage_totals ?(since = 0) ~names () =
   let tally = Hashtbl.create 16 in
   List.iteri

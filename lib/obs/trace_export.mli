@@ -21,6 +21,11 @@ val write_chrome : string -> unit
     total minus the time in child spans) and the counter table. *)
 val summary : Format.formatter -> unit
 
+(** The planner's stage spans, in pipeline order: synthesis, the four
+    PDW phases, the LP core and the router's flush.  The HTML run
+    report and [BENCH_solver.json] both break a run down by these. *)
+val stage_names : string list
+
 (** [stage_totals ~names ()] sums recorded span durations by name,
     returning [(name, total_ms)] in the order of [names], omitting
     names never recorded.  [since] skips the first [since] recorded

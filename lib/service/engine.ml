@@ -9,9 +9,8 @@ module Json_export = Pdw_wash.Json_export
 module Trace = Pdw_obs.Trace
 module Clock = Pdw_obs.Clock
 
-(* Mirrors bin/main.ml's [synthesize]: the motivating example runs on
-   the paper's hand-built Fig. 2 layout, everything else on a freshly
-   synthesized chip. *)
+(* The motivating example runs on the paper's hand-built Fig. 2 layout,
+   everything else on a freshly synthesized chip. *)
 let synthesize_benchmark name b =
   if String.lowercase_ascii name = "motivating" then
     Synthesis.synthesize ~layout:(Layout_builder.fig2_layout ()) b
@@ -39,11 +38,21 @@ let resolve ?(park = []) (source : Protocol.source) =
   | Protocol.Benchmark name -> (
     match Benchmarks.find name with
     | Some b -> synthesize name b
-    | None -> Error (Printf.sprintf "unknown benchmark %S" name))
+    | None ->
+      Error
+        (Printf.sprintf "unknown benchmark %S (try one of: %s)" name
+           (String.concat ", " (List.map fst (Benchmarks.catalog ())))))
   | Protocol.Inline text -> (
     match Assay_parser.parse text with
     | Ok b -> synthesize "" b
     | Error m -> Error (Printf.sprintf "assay parse error: %s" m))
+
+let optimize (spec : Protocol.spec) s =
+  match spec.Protocol.method_ with
+  | `Pdw -> Pdw.optimize ~config:spec.Protocol.config s
+  | `Dawo -> Dawo.optimize s
+
+let encode outcome = Json_export.to_string (Json_export.outcome outcome)
 
 let plan_timed (spec : Protocol.spec) =
   Trace.with_span "service.plan" @@ fun () ->
@@ -56,13 +65,9 @@ let plan_timed (spec : Protocol.spec) =
   | Ok s ->
     let t1 = Clock.now_ms () in
     let outcome =
-      Trace.with_span "service.optimize" @@ fun () ->
-      match spec.Protocol.method_ with
-      | `Pdw -> Pdw.optimize ~config:spec.Protocol.config s
-      | `Dawo -> Dawo.optimize s
+      Trace.with_span "service.optimize" (fun () -> optimize spec s)
     in
     let t2 = Clock.now_ms () in
-    ( Ok (Json_export.to_string (Json_export.outcome outcome)),
-      [ ("synthesize", t1 -. t0); ("optimize", t2 -. t1) ] )
+    (Ok (encode outcome), [ ("synthesize", t1 -. t0); ("optimize", t2 -. t1) ])
 
 let plan spec = fst (plan_timed spec)

@@ -28,7 +28,7 @@ let with_obs f () =
       Trace.set_enabled false;
       Counters.set_enabled false;
       Events.set_enabled false;
-      Trace.set_clock Unix.gettimeofday;
+      Trace.set_clock Clock.now;
       Trace.reset ();
       Counters.reset ();
       Events.reset ())
