@@ -11,7 +11,7 @@
                     ui.perfetto.dev) of the run's spans and counters
      --stats        print the span summary tree and counter table
      --domains N    run the harness pool and the router's parallel
-                    port-pair flush on N domains (default: sized from
+                    flush on N domains (default: sized from
                     the machine)
 
    The trace flags turn instrumentation on; without them every probe is
@@ -997,7 +997,9 @@ let run_fleet () =
    Solution metrics — n_wash, l_wash_mm, t_assay_s — must be identical:
    any drift means planner behaviour changed, and the gate hard-fails.
    Wall times wobble with machine and load, so they fail only beyond
-   [tolerance], the maximum allowed new/baseline ratio.  Provenance
+   [tolerance], the maximum allowed new/baseline ratio.  Work counts
+   that repeat exactly (LP allocations, the router's covering searches
+   on one domain) get fixed 1.1x budgets instead.  Provenance
    fields (git_commit, generated_at, domains) are ignored, as is any
    field this gate does not know about — so the schema may grow new
    sections without invalidating old baselines.  Schemas only need to
@@ -1161,6 +1163,28 @@ let run_compare ~tolerance baseline_path new_path =
     | _ ->
       Printf.printf
         "  note stage_alloc_words absent; allocation budget skipped\n");
+    (* Router-work budget.  The shared covering chain cut the flush's
+       searches by ~4.5x; a count more than 10% over the baseline means
+       that work came back.  Counts repeat exactly only on one domain
+       (on more, the shared incumbent prunes in scheduling order), so
+       the gate runs only when both snapshots say ["domains": 1]. *)
+    (match (num "domains" base, num "domains" next) with
+    | Some 1.0, Some 1.0 -> (
+      let searches j =
+        Option.bind (J.member "counters" j)
+          (num "synth.router.covering_searches")
+      in
+      incr checks;
+      match (searches base, searches next) with
+      | Some x, Some y when y > 1.1 *. x ->
+        fail "router covering_searches: %.0f -> %.0f (over 1.10x budget)" x
+          y
+      | Some x, Some y ->
+        Printf.printf "  ok router covering_searches %9.0f -> %9.0f\n" x y
+      | _ -> fail "router covering_searches: counter missing")
+    | _ ->
+      Printf.printf
+        "  note not both single-domain snapshots; router-work gate skipped\n");
     if !failures = 0 then begin
       Printf.printf "compare: OK (%d checks, wall-time tolerance %.2fx)\n"
         !checks tolerance;

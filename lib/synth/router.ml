@@ -212,9 +212,9 @@ let covering layout ?avoid ?cost ~src ~dst ~targets () =
     (Search_kernel.for_layout layout)
     ?avoid ?cost ~src ~dst ~targets ()
 
-(* --- parallel port-pair flush ------------------------------------- *)
+(* --- parallel flush ------------------------------------------------ *)
 
-(* Worker-domain pool for evaluating a flush's surviving port pairs in
+(* Worker-domain pool for evaluating a flush's surviving flow ports in
    parallel.  Built lazily at the configured size; a size of 1 keeps
    everything on the calling domain. *)
 
@@ -259,28 +259,25 @@ let flush_pool () =
     Some pool
   end
 
-(* Tokens let each worker arena recognise pairs from the same flush
-   call and skip re-stamping the (avoid, cost, targets) configuration;
-   see [Search_kernel.prepare]. *)
+(* Tokens let each worker arena recognise flow ports from the same
+   flush call and skip re-stamping the (avoid, cost, targets)
+   configuration; see [Search_kernel.prepare]. *)
 let flush_token = Atomic.make 0
 
 let flush_uncached layout ~avoid ?cost ~targets () =
   Trace.with_span ~cat:"synth" "router.flush" @@ fun () ->
   let flow_ports = Layout.flow_ports layout in
   let waste_ports = Layout.waste_ports layout in
+  let nwaste = List.length waste_ports in
   let arena = Search_kernel.for_layout layout in
+  let idx_of (p : Port.t) = Search_kernel.idx_of_coord arena p.Port.position in
   let target_idx =
     List.map (Search_kernel.idx_of_coord arena) (Coord.Set.elements targets)
   in
   (* Pair indices follow the legacy evaluation order (flow ports outer,
      waste ports inner): the earliest pair among equal-cost paths must
      keep winning. *)
-  let pairs =
-    List.concat_map
-      (fun fp -> List.map (fun wp -> (fp, wp)) waste_ports)
-      flow_ports
-  in
-  let stride = max 1 (List.length pairs) in
+  let stride = max 1 (List.length flow_ports * nwaste) in
   (* Exact lower bound on a pair's covering-path cost: every cell costs
      at least 1, any covering path visits src, every target and dst, and
      [Layout.port_distances] is the true grid distance over routable
@@ -291,31 +288,51 @@ let flush_uncached layout ~avoid ?cost ~targets () =
   let bound fp wp =
     let d_src = Layout.port_distances layout fp.Port.id in
     let d_dst = Layout.port_distances layout wp.Port.id in
-    let dst_i = Search_kernel.idx_of_coord arena wp.Port.position in
     List.fold_left
       (fun acc t ->
         if acc = max_int || d_src.(t) = max_int || d_dst.(t) = max_int then
           max_int
         else max acc (d_src.(t) + d_dst.(t)))
-      d_src.(dst_i) target_idx
+      d_src.(idx_of wp) target_idx
   in
-  let scored =
-    List.mapi (fun idx (fp, wp) -> (idx, fp, wp, bound fp wp)) pairs
-    |> List.filter_map (fun (idx, fp, wp, b) ->
-           if b = max_int then begin
-             Counters.incr c_lb_pruned;
-             None
-           end
-           else Some (idx, fp, wp, 1 + b))
+  (* Each flow port with its pairs [(idx, waste port, packed bound)]
+     that can cover at all.  A pair's packed bound [lb * stride + idx]
+     orders like its packed cost below. *)
+  let flows =
+    List.mapi
+      (fun fi fp ->
+        let pairs =
+          List.mapi
+            (fun wi wp ->
+              let idx = (fi * nwaste) + wi in
+              match bound fp wp with
+              | b when b = max_int ->
+                Counters.incr c_lb_pruned;
+                None
+              | b -> Some (idx, wp, ((1 + b) * stride) + idx))
+            waste_ports
+          |> List.filter_map Fun.id
+        in
+        (fp, pairs))
+      flow_ports
+    |> List.filter (fun (_, pairs) -> pairs <> [])
   in
-  (* Most promising pairs first, so the incumbent tightens early and
-     prunes the rest; the winner is order-independent (see below). *)
-  let scored =
-    List.sort
-      (fun (ia, _, _, la) (ib, _, _, lb) ->
-        let c = Int.compare la lb in
-        if c <> 0 then c else Int.compare ia ib)
-      scored
+  (* Most promising flow ports first, so the incumbent tightens early
+     and prunes the rest; the winner is order-independent (see below). *)
+  let first (_, pairs) =
+    List.fold_left (fun acc (_, _, pb) -> min acc pb) max_int pairs
+  in
+  let flows =
+    List.map (fun f -> (first f, f)) flows
+    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+    |> List.map snd
+  in
+  (* A waste port the chain could sweep up or must avoid — a target or
+     an [avoid] cell — breaks the shared chain's exactness, so its pairs
+     run their own covering search.  No planner caller sends one. *)
+  let own_search wp =
+    Coord.Set.mem wp.Port.position targets
+    || Coord.Set.mem wp.Port.position avoid
   in
   (* The incumbent is the packed pair [cost * stride + idx], so
      comparisons order by cost first and original pair index second —
@@ -328,41 +345,76 @@ let flush_uncached layout ~avoid ?cost ~targets () =
   let best_slot = ref None in
   let best_lock = Mutex.create () in
   let token = 1 + Atomic.fetch_and_add flush_token 1 in
-  let eval (idx, fp, wp, lb) =
-    if (lb * stride) + idx > Atomic.get incumbent then
-      Counters.incr c_lb_pruned
-    else begin
-      Counters.incr c_covering;
+  let offer packed fp wp path =
+    let rec improve () =
+      let cur = Atomic.get incumbent in
+      if packed < cur then
+        if Atomic.compare_and_set incumbent cur packed then true
+        else improve ()
+      else false
+    in
+    if improve () then begin
+      (* Only improving pairs materialize their path. *)
+      let path = path () in
+      Mutex.lock best_lock;
+      (match !best_slot with
+      | Some (bp, _, _, _) when bp <= packed -> ()
+      | _ -> best_slot := Some (packed, path, fp.Port.id, wp.Port.id));
+      Mutex.unlock best_lock
+    end
+  in
+  (* One flow port: a single chain prices all its shared pairs, then
+     each own-search pair runs its covering search in full. *)
+  let eval (fp, pairs) =
+    let live =
+      List.filter (fun (_, _, pb) -> pb <= Atomic.get incumbent) pairs
+    in
+    Counters.add c_lb_pruned (List.length pairs - List.length live);
+    if live <> [] then begin
       let a = Search_kernel.for_layout layout in
       Search_kernel.prepare a ~token ~avoid ~cost ~targets ();
-      let src = Search_kernel.idx_of_coord a fp.Port.position in
-      let dst = Search_kernel.idx_of_coord a wp.Port.position in
-      match Search_kernel.covering_run a ~src ~dst with
-      | None -> ()
-      | Some total ->
-        let packed = (total * stride) + idx in
-        let rec improve () =
-          let cur = Atomic.get incumbent in
-          if packed < cur then
-            if Atomic.compare_and_set incumbent cur packed then true
-            else improve ()
-          else false
-        in
-        if improve () then begin
-          (* Only improving pairs materialize their path. *)
-          let path = Search_kernel.path_of_buf a in
-          Mutex.lock best_lock;
-          (match !best_slot with
-          | Some (bp, _, _, _) when bp <= packed -> ()
-          | _ -> best_slot := Some (packed, path, fp.Port.id, wp.Port.id));
-          Mutex.unlock best_lock
-        end
+      let src = idx_of fp in
+      let own, shared = List.partition (fun (_, wp, _) -> own_search wp) live in
+      if shared <> [] then begin
+        Counters.incr c_covering;
+        match Search_kernel.covering_fan a ~src with
+        | None -> ()
+        | Some base -> (
+          let cheapest =
+            List.fold_left
+              (fun acc (idx, wp, _) ->
+                match Search_kernel.fan_cost a ~dst:(idx_of wp) with
+                | None -> acc
+                | Some d -> (
+                  let packed = ((base + d) * stride) + idx in
+                  match acc with
+                  | Some (bp, _) when bp <= packed -> acc
+                  | _ -> Some (packed, wp)))
+              None shared
+          in
+          match cheapest with
+          | None -> ()
+          | Some (packed, wp) ->
+            offer packed fp wp (fun () ->
+                Search_kernel.fan_path a ~dst:(idx_of wp)))
+      end;
+      List.iter
+        (fun (idx, wp, pb) ->
+          if pb > Atomic.get incumbent then Counters.incr c_lb_pruned
+          else begin
+            Counters.incr c_covering;
+            match Search_kernel.covering_run a ~src ~dst:(idx_of wp) with
+            | None -> ()
+            | Some total ->
+              offer ((total * stride) + idx) fp wp (fun () ->
+                  Search_kernel.path_of_buf a)
+          end)
+        own
     end
   in
   (match flush_pool () with
-  | Some pool when List.length scored > 1 ->
-    ignore (Pool.map pool eval scored)
-  | _ -> List.iter eval scored);
+  | Some pool when List.length flows > 1 -> ignore (Pool.map pool eval flows)
+  | _ -> List.iter eval flows);
   Option.map (fun (_, p, f, w) -> (p, f, w)) !best_slot
 
 (* --- memoization --------------------------------------------------- *)

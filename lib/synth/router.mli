@@ -55,7 +55,23 @@ val covering :
     (flow port, waste port) pairs: the [flow port -> contaminated spots ->
     waste port] structure every wash/flush path must have (Eq. (12)).
     Returns the path with the chosen port ids, or [None] when no pair can
-    cover the targets. *)
+    cover the targets.  The result is the cheapest {!covering} path
+    (cost [Σ 1 + cost c] over its cells), ties to the earliest pair in
+    flow-port-major order.
+
+    The greedy chain of {!covering} never depends on its destination
+    port, so each flow port runs it once and one search from its last
+    cell prices the final segment to every waste port.  A waste port
+    that is a target or in [avoid] falls back to its own {!covering}
+    search.
+
+    Counters: [synth.router.covering_searches] counts chains — one per
+    flow port evaluated plus one per fallback search.
+    [synth.router.pairs_lb_pruned] counts pairs never priced: those
+    with an unreachable target, those whose lower bound already loses
+    to the best pair found when their flow port (or fallback search)
+    comes up — a skipped flow port adds all its remaining pairs.  Both
+    repeat exactly on one flush domain only. *)
 val flush :
   Pdw_biochip.Layout.t ->
   ?avoid:Pdw_geometry.Coord.Set.t ->
@@ -71,7 +87,7 @@ val reachable :
   Pdw_biochip.Layout.t -> src:Pdw_geometry.Coord.t -> Pdw_geometry.Coord.Set.t
 
 (** Number of domains (including the caller) used to evaluate a flush's
-    surviving port pairs in parallel.  Defaults to
+    surviving flow ports in parallel.  Defaults to
     [min 4 (Domain.recommended_domain_count ())]; [1] disables the
     worker pool.  The flush result is deterministic regardless of this
     setting — equal-cost ties always go to the earliest pair. *)

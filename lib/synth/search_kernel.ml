@@ -46,6 +46,8 @@ type t = {
   targets_idx : int array;  (* prepared targets, Coord.compare order *)
   mutable targets_len : int;
   remaining : int array;  (* covering work list *)
+  mutable chain_end : int;  (* last cell of the last [chain] *)
+  mutable chain_len : int;  (* its cell count in [buf] *)
   mutable epoch : int;
   mutable avoid_epoch : int;
   mutable used_epoch : int;
@@ -72,6 +74,8 @@ let create layout =
     targets_idx = Array.make n 0;
     targets_len = 0;
     remaining = Array.make n 0;
+    chain_end = 0;
+    chain_len = 0;
     epoch = 0;
     avoid_epoch = 0;
     used_epoch = 0;
@@ -256,27 +260,29 @@ let bfs t ~src ~dst =
     !found
   end
 
+(* As a [dijkstra] destination: none, so the search settles every
+   reachable cell. *)
+let no_cell = -1
+
 (* Dijkstra over [t.costs]; [true] when [dst] was reached.  On success
-   [t.dist.(dst)] is the total cost of entering every cell after [src]. *)
+   [t.dist.(dst)] is the total cost of entering every cell after [src].
+   With [dst = no_cell] the search runs until the frontier empties and
+   answers [false]; every cell [c] with [t.visit.(c) = t.epoch] then
+   holds its final [dist] and [prev].  Those are the values an early-
+   stopping search to [c] would have left: costs are positive, so a
+   popped cell's entry never improves again. *)
 let dijkstra t ~src ~dst =
-  if not (routable t src && routable t dst) then false
-  else if src = dst then begin
-    t.epoch <- t.epoch + 1;
-    t.visit.(src) <- t.epoch;
-    t.prev.(src) <- src;
-    t.dist.(src) <- 0;
-    true
-  end
+  t.epoch <- t.epoch + 1;
+  if not (routable t src && (dst = no_cell || routable t dst)) then false
   else begin
-    t.epoch <- t.epoch + 1;
     let e = t.epoch in
     let ncells = t.rt.Routing.ncells in
     t.visit.(src) <- e;
     t.prev.(src) <- src;
     t.dist.(src) <- 0;
     t.heap_size <- 0;
-    heap_push t (colmajor t src);
-    let finished = ref false in
+    if src <> dst then heap_push t (colmajor t src);
+    let finished = ref (src = dst) in
     while (not !finished) && t.heap_size > 0 do
       let key = heap_pop t in
       let cm = key mod ncells in
@@ -380,12 +386,12 @@ let cheapest t ?(avoid = Coord.Set.empty) ~cost ~src ~dst () =
    manhattan distance (ties to the smallest in [Coord.compare] order),
    each segment is a cheapest path that must not revisit cells used by
    earlier segments, and targets swept up by a segment en passant are
-   dropped from the work list.  On success the full path sits in [buf]
-   and the return value is its total cost (Σ 1 + cost over every cell,
-   source included). *)
-let covering_run t ~src ~dst =
+   dropped from the work list.  [chain] runs every segment but the
+   last — the work list is the prepared targets minus [src] and [dst] —
+   and answers the summed segment costs with the chain's cells in [buf]
+   and its last cell in [chain_end], or [None] when a segment fails. *)
+let chain t ~src ~dst =
   t.used_epoch <- t.used_epoch + 1;
-  (* Work list: prepared targets minus the endpoints, in order. *)
   let remaining = t.remaining in
   let rem_len = ref 0 in
   for i = 0 to t.targets_len - 1 do
@@ -431,15 +437,43 @@ let covering_run t ~src ~dst =
     end
     else dead := true
   done;
-  if !dead then None
-  else if not (dijkstra t ~src:!here ~dst) then None
-  else begin
-    if !here <> dst then begin
-      append_segment t ~src:!here ~dst;
-      total := !total + t.dist.(dst)
-    end;
-    Some (!total + t.costs.(src))
-  end
+  t.chain_end <- !here;
+  t.chain_len <- t.buf_len;
+  if !dead then None else Some !total
+
+(* The whole covering path: the chain, then its final segment to [dst].
+   On success the path sits in [buf] and the return value is its total
+   cost (Σ 1 + cost over every cell, source included). *)
+let covering_run t ~src ~dst =
+  match chain t ~src ~dst with
+  | None -> None
+  | Some total ->
+    let here = t.chain_end in
+    if not (dijkstra t ~src:here ~dst) then None
+    else begin
+      append_segment t ~src:here ~dst;
+      Some (total + t.dist.(dst) + t.costs.(src))
+    end
+
+(* The chain never reads [dst] once [dst] is outside the work list: each
+   segment ends at a target, and a non-through cell (a port) is a leaf
+   of every segment's search, never on its path.  So one chain per
+   source, followed by one search that settles every cell, prices the
+   final segment to every such destination at once. *)
+let covering_fan t ~src =
+  match chain t ~src ~dst:no_cell with
+  | None -> None
+  | Some total ->
+    ignore (dijkstra t ~src:t.chain_end ~dst:no_cell);
+    Some (total + t.costs.(src))
+
+let fan_cost t ~dst =
+  if t.visit.(dst) = t.epoch then Some t.dist.(dst) else None
+
+let fan_path t ~dst =
+  t.buf_len <- t.chain_len;
+  append_segment t ~src:t.chain_end ~dst;
+  path_of_buf t
 
 let covering t ?(avoid = Coord.Set.empty) ?cost ~src ~dst ~targets () =
   (* An out-of-bounds target (other than the exempt endpoints) can never

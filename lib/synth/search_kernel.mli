@@ -74,7 +74,7 @@ val covering :
     against one fixed (avoid, cost, targets) configuration.  [prepare]
     stamps that configuration into the arena once; repeated calls with
     the same non-zero [token] are no-ops, so a worker domain touching
-    many pairs of the same flush pays for preparation once. *)
+    many flow ports of the same flush pays for preparation once. *)
 
 (** Stamp [avoid], the cost table ([None] = unit costs) and the target
     set into the arena under [token].  A [token] of [0] always
@@ -96,6 +96,29 @@ val prepare :
     materialized — via {!path_of_buf} — so losing evaluations allocate
     nothing. *)
 val covering_run : t -> src:int -> dst:int -> int option
+
+(** [covering_fan t ~src] — {!covering_run} from [src] to every
+    destination at once.  It runs the greedy chain once, then one
+    search from the chain's last cell that settles every reachable cell
+    with the same pop order and relaxation rule.  Returns the cost of
+    [src] and the chain (the same sum as {!covering_run}, minus the
+    final segment), or [None] when the chaining fails.
+
+    For a destination [dst <> src] that is not through-routable, not a
+    prepared target and not in the prepared avoid set,
+    [covering_run t ~src ~dst] returns this cost plus
+    [fan_cost t ~dst] and the path [fan_path t ~dst], or [None]
+    exactly when [fan_cost t ~dst] is [None]. *)
+val covering_fan : t -> src:int -> int option
+
+(** Cost of the final segment from the last {!covering_fan} chain to
+    [dst], or [None] when [dst] was not reached.  Valid until the
+    arena's next search. *)
+val fan_cost : t -> dst:int -> int option
+
+(** Materialize the last {!covering_fan} chain closed by its final
+    segment to [dst]; [fan_cost t ~dst] must be [Some _]. *)
+val fan_path : t -> dst:int -> Pdw_geometry.Gpath.t
 
 (** Materialize the last successful search's path. *)
 val path_of_buf : t -> Pdw_geometry.Gpath.t

@@ -1,8 +1,9 @@
 (* The command-line surface, driven through the built executables:
    [pdw run --json] prints exactly [Engine.plan] of the same spec, [pdw
    list] and the unknown-benchmark hint name every benchmark
-   [Benchmarks.find] resolves, and the bench harness's usage names every
-   job.  Takes the pdw and bench executables as its arguments. *)
+   [Benchmarks.find] resolves, the bench harness's usage names every
+   job, and [bench compare] holds its router-work budget.  Takes the pdw
+   and bench executables as its arguments. *)
 
 module Benchmarks = Pdw_assay.Benchmarks
 module Engine = Pdw_service.Engine
@@ -101,6 +102,39 @@ let test_bench_usage_names_every_job () =
       "ilppaths"; "scale"; "sensitivity"; "binding"; "batch"; "ports";
       "speed"; "storage"; "perf"; "serve"; "fleet" ]
 
+(* [bench compare]'s router-work budget: a single-domain snapshot may
+   not run more than 1.1x the baseline's covering searches; with any
+   other domain count the counts vary run to run and the gate stands
+   aside. *)
+let test_compare_router_budget () =
+  let snapshot ~domains ~searches =
+    let path = Filename.temp_file "bench_solver" ".json" in
+    let entry = {|{"wall_ms": 1, "n_wash": 1, "l_wash_mm": 1, "t_assay_s": 1}|} in
+    Out_channel.with_open_text path (fun oc ->
+        Printf.fprintf oc
+          {|{"schema": "pathdriver-wash/bench-solver/v4", "domains": %d,
+  "benchmarks": [], "optimize_wall_ms": 1,
+  "exact_ilp": {"warm_start": %s, "cold_start": %s},
+  "counters": {"synth.router.covering_searches": %d}}|}
+          domains entry entry searches);
+    path
+  in
+  let base = snapshot ~domains:1 ~searches:100 in
+  List.iter
+    (fun (label, domains, searches, want) ->
+      let next = snapshot ~domains ~searches in
+      let code, out, _ = run !bench [ "compare"; base; next ] in
+      Sys.remove next;
+      Alcotest.(check int) label want code;
+      Alcotest.(check bool) (label ^ ": names the budget") (want = 1)
+        (contains out "FAIL router covering_searches"))
+    [
+      ("within budget", 1, 110, 0);
+      ("over budget", 1, 111, 1);
+      ("two domains, skipped", 2, 500, 0);
+    ];
+  Sys.remove base
+
 let () =
   pdw := Sys.argv.(1);
   bench := Sys.argv.(2);
@@ -119,5 +153,7 @@ let () =
         [
           Alcotest.test_case "usage names every job" `Quick
             test_bench_usage_names_every_job;
+          Alcotest.test_case "compare router-work budget" `Quick
+            test_compare_router_budget;
         ] );
     ]

@@ -198,21 +198,24 @@ let test_epoch_reuse () =
 (* --- flush: oracle + domain-count determinism ---------------------- *)
 
 (* Brute-force flush oracle: every (flow, waste) pair via the reference
-   covering search, cost = cell count, first strictly-cheaper pair
-   wins. *)
-let reference_flush layout ~targets =
+   covering search, cost = Σ (1 + cost) over the path's cells, first
+   strictly-cheaper pair wins. *)
+let reference_flush layout ~avoid ?cost ~targets () =
+  let cell_cost = Option.value cost ~default:(fun _ -> 0) in
   let best = ref None in
   List.iter
     (fun (fp : Port.t) ->
       List.iter
         (fun (wp : Port.t) ->
           match
-            Router.Reference.covering layout ~src:fp.Port.position
+            Router.Reference.covering layout ~avoid ?cost ~src:fp.Port.position
               ~dst:wp.Port.position ~targets ()
           with
           | None -> ()
           | Some p -> (
-            let c = List.length (Gpath.cells p) in
+            let c =
+              List.fold_left (fun acc c -> acc + 1 + cell_cost c) 0 (Gpath.cells p)
+            in
             match !best with
             | Some (_, bc, _, _) when bc <= c -> ()
             | _ -> best := Some (p, c, fp.Port.id, wp.Port.id)))
@@ -220,34 +223,62 @@ let reference_flush layout ~targets =
     (Layout.flow_ports layout);
   Option.map (fun (p, _, f, w) -> (p, f, w)) !best
 
-let check_flush_result label expected actual =
-  let render = function
-    | None -> "none"
-    | Some (p, f, w) ->
-      Printf.sprintf "ports %d->%d via %s" f w
-        (String.concat ";"
-           (List.map Coord.to_string (Gpath.cells p)))
-  in
-  Alcotest.(check string) label (render expected) (render actual)
+let render_flush = function
+  | None -> "none"
+  | Some (p, f, w) ->
+    Printf.sprintf "ports %d->%d via %s" f w
+      (String.concat ";" (List.map Coord.to_string (Gpath.cells p)))
 
+(* Outcome of a flush, exception included (see [covering_outcome]). *)
+let flush_outcome f =
+  match f () with
+  | r -> render_flush r
+  | exception Invalid_argument m -> "raised " ^ m
+
+(* The shapes planner callers send: synthesis's cost-shaped removal
+   flushes and PDW's held-cell [avoid] with conflict costs, on half the
+   cases each; plus waste ports that are targets or avoided, which take
+   the per-pair covering search instead of the shared chain. *)
 let prop_flush_matches_oracle_and_domains =
   QCheck2.Test.make
-    ~name:"flush = brute-force oracle at 1 and 2 domains" ~count:25
+    ~name:"flush = brute-force oracle at 1 and 2 domains" ~count:200
     QCheck2.Gen.(int_range 0 1_000_000)
     (fun seed ->
       let st = Random.State.make [| seed; 4 |] in
       let layout = pick_layout st in
       let cells = routable_cells layout in
+      let waste_cells =
+        List.map (fun (wp : Port.t) -> wp.Port.position) (Layout.waste_ports layout)
+      in
+      let some_waste () = pick_cell st waste_cells in
       let targets = random_subset st ~denom:15 cells in
-      let expected = reference_flush layout ~targets in
-      (* [~avoid:empty] routes identically but skips the memo table. *)
+      let targets =
+        if Random.State.int st 4 = 0 then Coord.Set.add (some_waste ()) targets
+        else targets
+      in
+      let cost = if Random.State.bool st then Some (random_cost st) else None in
+      let avoid =
+        if Random.State.bool st then
+          Coord.Set.diff (random_subset st ~denom:20 cells) targets
+        else Coord.Set.empty
+      in
+      let avoid =
+        if Random.State.int st 4 = 0 then Coord.Set.add (some_waste ()) avoid
+        else avoid
+      in
+      let expected =
+        flush_outcome (fun () -> reference_flush layout ~avoid ?cost ~targets ())
+      in
+      (* A present [~avoid] (even empty) skips the memo table. *)
+      let flush domains =
+        Router.set_flush_domains domains;
+        flush_outcome (fun () -> Router.flush layout ~avoid ?cost ~targets ())
+      in
+      let seq = flush 1 in
+      let par = flush 2 in
       Router.set_flush_domains 1;
-      let seq = Router.flush layout ~avoid:Coord.Set.empty ~targets () in
-      Router.set_flush_domains 2;
-      let par = Router.flush layout ~avoid:Coord.Set.empty ~targets () in
-      Router.set_flush_domains 1;
-      check_flush_result "sequential flush" expected seq;
-      check_flush_result "parallel flush" expected par;
+      Alcotest.(check string) "sequential flush" expected seq;
+      Alcotest.(check string) "parallel flush" expected par;
       true)
 
 (* --- flush memo: LRU + eviction counter ---------------------------- *)
