@@ -10,15 +10,13 @@
      --trace FILE   write a Chrome-trace JSON (chrome://tracing or
                     ui.perfetto.dev) of the run's spans and counters
      --stats        print the span summary tree and counter table
-     --domains N    run the harness pool and the router's parallel
-                    flush on N domains (default: sized from
-                    the machine)
+     --domains N    run the harness pool on N domains (default:
+                    sized from the machine)
 
    The trace flags turn instrumentation on; without them every probe is
    a no-op and the printed tables are byte-identical to an
    uninstrumented build.  [--domains] never changes any table either:
-   the flush reduction is deterministic (ties go to the earliest port
-   pair at any domain count). *)
+   the pool maps over independent benchmarks and keeps list order. *)
 
 module Benchmarks = Pdw_assay.Benchmarks
 module Schedule = Pdw_synth.Schedule
@@ -30,7 +28,6 @@ module Metrics = Pdw_wash.Metrics
 module Report = Pdw_wash.Report
 
 module Domain_pool = Pdw_pool.Domain_pool
-module Router = Pdw_synth.Router
 module Trace = Pdw_obs.Trace
 module Counters = Pdw_obs.Counters
 module Trace_export = Pdw_obs.Trace_export
@@ -41,8 +38,8 @@ module Client = Pdw_service.Client
 module Loadgen = Pdw_service.Loadgen
 module J = Pdw_obs.Json
 
-(* [--domains N]: overrides both the harness pool size and the router's
-   flush-pool size; [None] leaves the machine-sized defaults. *)
+(* [--domains N]: overrides the harness pool size; [None] leaves the
+   machine-sized default. *)
 let domains_override : int option ref = ref None
 
 let table2_benchmarks () = Benchmarks.all ()
@@ -998,11 +995,11 @@ let run_fleet () =
    any drift means planner behaviour changed, and the gate hard-fails.
    Wall times wobble with machine and load, so they fail only beyond
    [tolerance], the maximum allowed new/baseline ratio.  Work counts
-   that repeat exactly (LP allocations, the router's covering searches
-   on one domain) get fixed 1.1x budgets instead.  Provenance
-   fields (git_commit, generated_at, domains) are ignored, as is any
-   field this gate does not know about — so the schema may grow new
-   sections without invalidating old baselines.  Schemas only need to
+   that repeat exactly (LP allocations, the router's covering searches)
+   get fixed 1.1x budgets instead.  Provenance fields (git_commit,
+   generated_at, domains) are ignored, as is any field this gate does
+   not know about — so the schema may grow new sections without
+   invalidating old baselines.  Schemas only need to
    agree on the family (the part before the trailing version segment);
    a version difference is reported but is not a failure. *)
 let run_compare ~tolerance baseline_path new_path =
@@ -1165,26 +1162,19 @@ let run_compare ~tolerance baseline_path new_path =
         "  note stage_alloc_words absent; allocation budget skipped\n");
     (* Router-work budget.  The shared covering chain cut the flush's
        searches by ~4.5x; a count more than 10% over the baseline means
-       that work came back.  Counts repeat exactly only on one domain
-       (on more, the shared incumbent prunes in scheduling order), so
-       the gate runs only when both snapshots say ["domains": 1]. *)
-    (match (num "domains" base, num "domains" next) with
-    | Some 1.0, Some 1.0 -> (
-      let searches j =
-        Option.bind (J.member "counters" j)
-          (num "synth.router.covering_searches")
-      in
-      incr checks;
-      match (searches base, searches next) with
-      | Some x, Some y when y > 1.1 *. x ->
-        fail "router covering_searches: %.0f -> %.0f (over 1.10x budget)" x
-          y
-      | Some x, Some y ->
-        Printf.printf "  ok router covering_searches %9.0f -> %9.0f\n" x y
-      | _ -> fail "router covering_searches: counter missing")
-    | _ ->
-      Printf.printf
-        "  note not both single-domain snapshots; router-work gate skipped\n");
+       that work came back.  Each flush runs on its calling domain, so
+       the count repeats exactly at any harness [domains]. *)
+    (let searches j =
+       Option.bind (J.member "counters" j)
+         (num "synth.router.covering_searches")
+     in
+     incr checks;
+     match (searches base, searches next) with
+     | Some x, Some y when y > 1.1 *. x ->
+       fail "router covering_searches: %.0f -> %.0f (over 1.10x budget)" x y
+     | Some x, Some y ->
+       Printf.printf "  ok router covering_searches %9.0f -> %9.0f\n" x y
+     | _ -> fail "router covering_searches: counter missing");
     if !failures = 0 then begin
       Printf.printf "compare: OK (%d checks, wall-time tolerance %.2fx)\n"
         !checks tolerance;
@@ -1271,11 +1261,7 @@ let () =
   let args, trace_file, stats, domains =
     parse_obs_flags (List.tl (Array.to_list Sys.argv))
   in
-  (match domains with
-  | Some n ->
-    domains_override := Some n;
-    Router.set_flush_domains n
-  | None -> ());
+  domains_override := domains;
   let instrumented = trace_file <> None || stats in
   if instrumented then begin
     Trace.set_enabled true;

@@ -52,7 +52,6 @@ type t = {
   mutex : Mutex.t;
   nonempty : Condition.t;
   wqs : worker_queue array;  (* dedicated mode; [||] otherwise *)
-  rr : int Atomic.t;  (* round-robin cursor for un-targeted [submit] *)
   closed : bool Atomic.t;
   mutable workers : unit Domain.t list;
 }
@@ -129,7 +128,6 @@ let create ?size ?(dedicated = false) () =
                  major_words = 0.0;
                })
          else [||]);
-      rr = Atomic.make 0;
       closed = Atomic.make false;
       workers = [];
     }
@@ -170,30 +168,6 @@ let submit_to t i job =
   Condition.signal w.c;
   Mutex.unlock w.m
 
-let submit t job =
-  if not t.dedicated then
-    invalid_arg "Domain_pool.submit: pool was not created with ~dedicated";
-  let k = Atomic.fetch_and_add t.rr 1 in
-  submit_to t (k mod t.size) job
-
-let pending_per_worker t =
-  Array.map
-    (fun w ->
-      Mutex.lock w.m;
-      let n = Queue.length w.q in
-      Mutex.unlock w.m;
-      n)
-    t.wqs
-
-let peak_per_worker t =
-  Array.map
-    (fun w ->
-      Mutex.lock w.m;
-      let n = w.peak in
-      Mutex.unlock w.m;
-      n)
-    t.wqs
-
 let worker_stats t =
   Array.map
     (fun w ->
@@ -211,15 +185,6 @@ let worker_stats t =
       Mutex.unlock w.m;
       s)
     t.wqs
-
-let pending t =
-  if t.dedicated then Array.fold_left ( + ) 0 (pending_per_worker t)
-  else begin
-    Mutex.lock t.mutex;
-    let n = Queue.length t.queue in
-    Mutex.unlock t.mutex;
-    n
-  end
 
 let shutdown t =
   Atomic.set t.closed true;

@@ -28,9 +28,9 @@ val default_size : unit -> int
     the first job ever sent its way: every live domain lengthens the
     stop-the-world barrier of every minor collection, so a queue that
     never sees a job never costs one.  This is the mode for long-lived
-    asynchronous use ([submit]/[submit_to], as in the planning
-    service); the default mode spawns [size - 1] domains eagerly for
-    [map]-style fan-out where the caller drains alongside them. *)
+    asynchronous use ([submit_to], as in the planning service); the
+    default mode spawns [size - 1] domains eagerly for [map]-style
+    fan-out where the caller drains alongside them. *)
 val create : ?size:int -> ?dedicated:bool -> unit -> t
 
 val size : t -> int
@@ -42,25 +42,11 @@ val size : t -> int
     out-of-range worker index. *)
 val submit_to : t -> int -> (unit -> unit) -> unit
 
-(** [submit t job] enqueues [job] on the next worker, round-robin.
-    @raise Invalid_argument on a non-dedicated or shut-down pool. *)
-val submit : t -> (unit -> unit) -> unit
-
-(** Jobs enqueued but not yet picked up by a worker (summed over all
-    per-worker queues in dedicated mode). *)
-val pending : t -> int
-
-(** Per-worker queue depths, index [i] for worker [i].  [[||]] for a
-    non-dedicated pool. *)
-val pending_per_worker : t -> int array
-
-(** Per-worker high-water marks: the deepest each worker's queue has
-    ever been at enqueue time.  [[||]] for a non-dedicated pool. *)
-val peak_per_worker : t -> int array
-
-(** One dedicated worker's telemetry, as sampled by the worker itself
-    after each completed job.  [minor_words]/[major_words] are the
-    worker domain's cumulative GC allocation counters
+(** One dedicated worker's telemetry.  [pending] is the queue's depth
+    now and [peak] the deepest it has ever been at enqueue time; the
+    rest is sampled by the worker itself after each completed job.
+    [minor_words]/[major_words] are the worker domain's cumulative GC
+    allocation counters
     ([Gc.quick_stat], domain-local in OCaml 5 — only the worker can
     read its own), so their deltas rate cleanly in a scraper.  [live]
     is whether the lazily-spawned domain exists yet. *)

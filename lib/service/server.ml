@@ -179,8 +179,13 @@ let stats_json t =
   let snaps = Array.map snapshot_shard t.shards in
   let cache_shards = Plan_cache.shard_stats t.cache in
   let cache = Plan_cache.stats t.cache in
-  let pend = Domain_pool.pending_per_worker t.pool in
-  let qpeaks = Domain_pool.peak_per_worker t.pool in
+  let ws = Domain_pool.worker_stats t.pool in
+  let worker i get = if i < Array.length ws then get ws.(i) else 0 in
+  let pending =
+    Array.fold_left
+      (fun acc (w : Domain_pool.worker_stats) -> acc + w.pending)
+      0 ws
+  in
   let sum f = Array.fold_left (fun acc s -> acc + f s) 0 snaps in
   let in_flight = sum (fun s -> s.snap_in_flight) in
   let shed = sum (fun s -> s.snap_shed) in
@@ -216,9 +221,8 @@ let stats_json t =
         ("in_flight", Json.Int s.snap_in_flight);
         ("depth_peak", Json.Int s.snap_depth_peak);
         ("shed", Json.Int s.snap_shed);
-        ("pending", Json.Int (if i < Array.length pend then pend.(i) else 0));
-        ( "queue_peak",
-          Json.Int (if i < Array.length qpeaks then qpeaks.(i) else 0) );
+        ("pending", Json.Int (worker i (fun w -> w.pending)));
+        ("queue_peak", Json.Int (worker i (fun w -> w.peak)));
         ("submitted", Json.Int s.snap_counts.submitted);
         ("completed", Json.Int s.snap_counts.completed);
         ("coalesced", Json.Int s.snap_counts.coalesced);
@@ -249,7 +253,7 @@ let stats_json t =
         Json.Obj
           [
             ("in_flight", Json.Int in_flight);
-            ("pending", Json.Int (Array.fold_left ( + ) 0 pend));
+            ("pending", Json.Int pending);
             ("limit", Json.Int (t.shard_limit * Array.length t.shards));
             ("shard_limit", Json.Int t.shard_limit);
             ("depth_peak", Json.Int depth_peak);

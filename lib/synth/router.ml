@@ -3,7 +3,6 @@ module Grid = Pdw_geometry.Grid
 module Gpath = Pdw_geometry.Gpath
 module Layout = Pdw_biochip.Layout
 module Port = Pdw_biochip.Port
-module Pool = Pdw_pool.Domain_pool
 module Trace = Pdw_obs.Trace
 module Counters = Pdw_obs.Counters
 
@@ -13,188 +12,6 @@ let c_flush_misses = Counters.counter "synth.router.flush_memo_misses"
 let c_memo_evictions = Counters.counter "synth.router.flush_memo_evictions"
 let c_lb_pruned = Counters.counter "synth.router.pairs_lb_pruned"
 let c_covering = Counters.counter "synth.router.covering_searches"
-
-(* The original table-and-set searches, kept as the oracle the
-   [Search_kernel] equivalence tests run against.  Everything here is
-   deliberately unchanged from the pre-kernel router — except
-   [covering]'s bookkeeping, which now accumulates cells reversed
-   (one [List.rev] at the end instead of a quadratic [@] per segment)
-   and removes swept-up targets cell by cell instead of re-filtering
-   the whole remaining set per segment.  Both produce identical
-   paths. *)
-module Reference = struct
-  (* BFS from [src] to [dst].  Intermediate cells must be
-     through-routable (no ports) and outside [avoid]; [dst] only needs
-     to be routable. *)
-  let shortest layout ?(avoid = Coord.Set.empty) ~src ~dst () =
-    if Coord.equal src dst then
-      if Layout.routable layout src then Some (Gpath.of_cells [ src ])
-      else None
-    else if not (Layout.routable layout src && Layout.routable layout dst)
-    then None
-    else begin
-      let prev = Coord.Table.create 64 in
-      let queue = Queue.create () in
-      Coord.Table.replace prev src src;
-      Queue.add src queue;
-      let found = ref false in
-      while (not !found) && not (Queue.is_empty queue) do
-        let here = Queue.pop queue in
-        let expandable =
-          Coord.equal here src || Layout.through_routable layout here
-        in
-        if expandable then
-          List.iter
-            (fun next ->
-              if (not !found) && not (Coord.Table.mem prev next) then begin
-                let enterable =
-                  Layout.routable layout next
-                  && ((not (Coord.Set.mem next avoid)) || Coord.equal next dst)
-                in
-                if enterable then begin
-                  Coord.Table.replace prev next here;
-                  if Coord.equal next dst then found := true
-                  else Queue.add next queue
-                end
-              end)
-            (Grid.neighbours (Layout.grid layout) here)
-      done;
-      if not !found then None
-      else begin
-        let rec walk acc c =
-          if Coord.equal c src then c :: acc
-          else walk (c :: acc) (Coord.Table.find prev c)
-        in
-        Some (Gpath.of_cells (walk [] dst))
-      end
-    end
-
-  module Frontier = Set.Make (struct
-    type t = int * Coord.t
-
-    let compare (da, ca) (db, cb) =
-      let c = Int.compare da db in
-      if c <> 0 then c else Coord.compare ca cb
-  end)
-
-  let cheapest layout ?(avoid = Coord.Set.empty) ~cost ~src ~dst () =
-    if Coord.equal src dst then
-      if Layout.routable layout src then Some (Gpath.of_cells [ src ])
-      else None
-    else if not (Layout.routable layout src && Layout.routable layout dst)
-    then None
-    else begin
-      let dist = Coord.Table.create 64 in
-      let prev = Coord.Table.create 64 in
-      Coord.Table.replace dist src 0;
-      let frontier = ref (Frontier.singleton (0, src)) in
-      let finished = ref false in
-      while (not !finished) && not (Frontier.is_empty !frontier) do
-        let ((d, here) as node) = Frontier.min_elt !frontier in
-        frontier := Frontier.remove node !frontier;
-        if Coord.equal here dst then finished := true
-        else if Coord.Table.find dist here = d then begin
-          let expandable =
-            Coord.equal here src || Layout.through_routable layout here
-          in
-          if expandable then
-            List.iter
-              (fun next ->
-                let enterable =
-                  Layout.routable layout next
-                  && ((not (Coord.Set.mem next avoid)) || Coord.equal next dst)
-                in
-                if enterable then begin
-                  let step = 1 + cost next in
-                  if step < 1 then
-                    invalid_arg "Router.cheapest: negative cell cost";
-                  let nd = d + step in
-                  let better =
-                    match Coord.Table.find_opt dist next with
-                    | Some old -> nd < old
-                    | None -> true
-                  in
-                  if better then begin
-                    Coord.Table.replace dist next nd;
-                    Coord.Table.replace prev next here;
-                    frontier := Frontier.add (nd, next) !frontier
-                  end
-                end)
-              (Grid.neighbours (Layout.grid layout) here)
-        end
-      done;
-      if not !finished then None
-      else begin
-        let rec walk acc c =
-          if Coord.equal c src then c :: acc
-          else walk (c :: acc) (Coord.Table.find prev c)
-        in
-        Some (Gpath.of_cells (walk [] dst))
-      end
-    end
-
-  let covering layout ?(avoid = Coord.Set.empty) ?(cost = fun _ -> 0) ~src
-      ~dst ~targets () =
-    let remaining = Coord.Set.remove src (Coord.Set.remove dst targets) in
-    (* Chain segments greedily through the nearest remaining target,
-       keeping already-used cells off-limits so the concatenation stays
-       a simple path.  Cells accumulate reversed; one [List.rev] at the
-       end. *)
-    let rec go rev_cells used here remaining =
-      if Coord.Set.is_empty remaining then
-        let avoid_final =
-          Coord.Set.union avoid (Coord.Set.remove here used)
-        in
-        match cheapest layout ~avoid:avoid_final ~cost ~src:here ~dst () with
-        | None -> None
-        | Some seg ->
-          let rev_cells =
-            List.fold_left
-              (fun acc c -> c :: acc)
-              rev_cells
-              (List.tl (Gpath.cells seg))
-          in
-          Some (Gpath.of_cells (List.rev rev_cells))
-      else begin
-        (* Nearest target by manhattan distance as the greedy choice. *)
-        let next_target =
-          Coord.Set.fold
-            (fun c best ->
-              match best with
-              | None -> Some c
-              | Some b ->
-                if Coord.manhattan here c < Coord.manhattan here b then
-                  Some c
-                else best)
-            remaining None
-        in
-        match next_target with
-        | None -> assert false
-        | Some target -> (
-          let avoid_seg =
-            Coord.Set.union avoid (Coord.Set.remove here used)
-          in
-          match
-            cheapest layout ~avoid:avoid_seg ~cost ~src:here ~dst:target ()
-          with
-          | None -> None
-          | Some seg ->
-            let seg_cells = List.tl (Gpath.cells seg) in
-            let used =
-              List.fold_left (fun s c -> Coord.Set.add c s) used seg_cells
-            in
-            let remaining =
-              List.fold_left
-                (fun r c -> Coord.Set.remove c r)
-                remaining seg_cells
-            in
-            go
-              (List.fold_left (fun acc c -> c :: acc) rev_cells seg_cells)
-              used target remaining)
-      end
-    in
-    go [ src ] (Coord.Set.singleton src) src remaining
-end
 
 (* Public searches run on the calling domain's flat-array arena; see
    [Search_kernel] for the path-identity guarantee. *)
@@ -212,57 +29,11 @@ let covering layout ?avoid ?cost ~src ~dst ~targets () =
     (Search_kernel.for_layout layout)
     ?avoid ?cost ~src ~dst ~targets ()
 
-(* --- parallel flush ------------------------------------------------ *)
+(* --- flush ----------------------------------------------------------- *)
 
-(* Worker-domain pool for evaluating a flush's surviving flow ports in
-   parallel.  Built lazily at the configured size; a size of 1 keeps
-   everything on the calling domain. *)
-
-let flush_domains_override = Atomic.make 0
-
-let set_flush_domains n =
-  Atomic.set flush_domains_override (max 1 n)
-
-let flush_domains () =
-  match Atomic.get flush_domains_override with
-  | 0 -> max 1 (min 4 (Domain.recommended_domain_count ()))
-  | n -> n
-
-let pool_state : (int * Pool.t) option ref = ref None
-let pool_lock = Mutex.create ()
-
-(* Worker domains must be joined before the main domain exits. *)
-let () =
-  at_exit (fun () ->
-      Mutex.lock pool_lock;
-      (match !pool_state with
-      | Some (_, p) -> ( try Pool.shutdown p with _ -> ())
-      | None -> ());
-      pool_state := None;
-      Mutex.unlock pool_lock)
-
-let flush_pool () =
-  let want = flush_domains () in
-  if want <= 1 then None
-  else begin
-    Mutex.lock pool_lock;
-    let pool =
-      match !pool_state with
-      | Some (sz, p) when sz = want -> p
-      | prev ->
-        (match prev with Some (_, p) -> Pool.shutdown p | None -> ());
-        let p = Pool.create ~size:want () in
-        pool_state := Some (want, p);
-        p
-    in
-    Mutex.unlock pool_lock;
-    Some pool
-  end
-
-(* Tokens let each worker arena recognise flow ports from the same
-   flush call and skip re-stamping the (avoid, cost, targets)
-   configuration; see [Search_kernel.prepare]. *)
-let flush_token = Atomic.make 0
+(* Kept so existing callers still link; the flush always runs on the
+   calling domain. *)
+let set_flush_domains (_ : int) = ()
 
 let flush_uncached layout ~avoid ?cost ~targets () =
   Trace.with_span ~cat:"synth" "router.flush" @@ fun () ->
@@ -318,7 +89,8 @@ let flush_uncached layout ~avoid ?cost ~targets () =
     |> List.filter (fun (_, pairs) -> pairs <> [])
   in
   (* Most promising flow ports first, so the incumbent tightens early
-     and prunes the rest; the winner is order-independent (see below). *)
+     and prunes the rest; the winner does not depend on this order (see
+     below). *)
   let first (_, pairs) =
     List.fold_left (fun acc (_, _, pb) -> min acc pb) max_int pairs
   in
@@ -336,54 +108,36 @@ let flush_uncached layout ~avoid ?cost ~targets () =
   in
   (* The incumbent is the packed pair [cost * stride + idx], so
      comparisons order by cost first and original pair index second —
-     exactly the sequential "first strictly-cheaper pair wins" rule.  A
-     pair is pruned only when even its bound packs above the incumbent,
-     i.e. when it cannot possibly win; that decision is monotone in the
-     (only-decreasing) incumbent, so the final winner is independent of
-     evaluation order and domain scheduling. *)
-  let incumbent = Atomic.make max_int in
-  let best_slot = ref None in
-  let best_lock = Mutex.create () in
-  let token = 1 + Atomic.fetch_and_add flush_token 1 in
+     exactly the "first strictly-cheaper pair wins" rule.  A pair is
+     pruned only when even its bound packs above the incumbent, i.e.
+     when it cannot possibly win, so the winner is the same in any
+     evaluation order. *)
+  let incumbent = ref max_int in
+  let best = ref None in
   let offer packed fp wp path =
-    let rec improve () =
-      let cur = Atomic.get incumbent in
-      if packed < cur then
-        if Atomic.compare_and_set incumbent cur packed then true
-        else improve ()
-      else false
-    in
-    if improve () then begin
+    if packed < !incumbent then begin
+      incumbent := packed;
       (* Only improving pairs materialize their path. *)
-      let path = path () in
-      Mutex.lock best_lock;
-      (match !best_slot with
-      | Some (bp, _, _, _) when bp <= packed -> ()
-      | _ -> best_slot := Some (packed, path, fp.Port.id, wp.Port.id));
-      Mutex.unlock best_lock
+      best := Some (path (), fp.Port.id, wp.Port.id)
     end
   in
   (* One flow port: a single chain prices all its shared pairs, then
      each own-search pair runs its covering search in full. *)
   let eval (fp, pairs) =
-    let live =
-      List.filter (fun (_, _, pb) -> pb <= Atomic.get incumbent) pairs
-    in
+    let live = List.filter (fun (_, _, pb) -> pb <= !incumbent) pairs in
     Counters.add c_lb_pruned (List.length pairs - List.length live);
     if live <> [] then begin
-      let a = Search_kernel.for_layout layout in
-      Search_kernel.prepare a ~token ~avoid ~cost ~targets ();
       let src = idx_of fp in
       let own, shared = List.partition (fun (_, wp, _) -> own_search wp) live in
       if shared <> [] then begin
         Counters.incr c_covering;
-        match Search_kernel.covering_fan a ~src with
+        match Search_kernel.covering_fan arena ~src with
         | None -> ()
         | Some base -> (
           let cheapest =
             List.fold_left
               (fun acc (idx, wp, _) ->
-                match Search_kernel.fan_cost a ~dst:(idx_of wp) with
+                match Search_kernel.fan_cost arena ~dst:(idx_of wp) with
                 | None -> acc
                 | Some d -> (
                   let packed = ((base + d) * stride) + idx in
@@ -396,26 +150,27 @@ let flush_uncached layout ~avoid ?cost ~targets () =
           | None -> ()
           | Some (packed, wp) ->
             offer packed fp wp (fun () ->
-                Search_kernel.fan_path a ~dst:(idx_of wp)))
+                Search_kernel.fan_path arena ~dst:(idx_of wp)))
       end;
       List.iter
         (fun (idx, wp, pb) ->
-          if pb > Atomic.get incumbent then Counters.incr c_lb_pruned
+          if pb > !incumbent then Counters.incr c_lb_pruned
           else begin
             Counters.incr c_covering;
-            match Search_kernel.covering_run a ~src ~dst:(idx_of wp) with
+            match Search_kernel.covering_run arena ~src ~dst:(idx_of wp) with
             | None -> ()
             | Some total ->
               offer ((total * stride) + idx) fp wp (fun () ->
-                  Search_kernel.path_of_buf a)
+                  Search_kernel.path_of_buf arena)
           end)
         own
     end
   in
-  (match flush_pool () with
-  | Some pool when List.length flows > 1 -> ignore (Pool.map pool eval flows)
-  | _ -> List.iter eval flows);
-  Option.map (fun (_, p, f, w) -> (p, f, w)) !best_slot
+  if flows <> [] then begin
+    Search_kernel.prepare arena ~avoid ~cost ~targets ();
+    List.iter eval flows
+  end;
+  !best
 
 (* --- memoization --------------------------------------------------- *)
 

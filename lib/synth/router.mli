@@ -4,10 +4,8 @@
     (fluid never flows through a port).  BFS guarantees shortest paths,
     which the tests rely on.
 
-    The searches run on a reusable flat-array arena ({!Search_kernel});
-    {!Reference} keeps the original table-and-set implementations as the
-    oracle the equivalence tests compare against.  Both produce
-    identical paths. *)
+    The searches run on a reusable flat-array arena ({!Search_kernel}),
+    on the calling domain. *)
 
 (** [shortest layout ~src ~dst ()] is a shortest path from [src] to [dst],
     or [None] when unreachable.
@@ -70,8 +68,9 @@ val covering :
     [synth.router.pairs_lb_pruned] counts pairs never priced: those
     with an unreachable target, those whose lower bound already loses
     to the best pair found when their flow port (or fallback search)
-    comes up — a skipped flow port adds all its remaining pairs.  Both
-    repeat exactly on one flush domain only. *)
+    comes up — a skipped flow port adds all its remaining pairs.  Flow
+    ports are evaluated in order of their best lower bound, so both
+    counts repeat exactly from run to run. *)
 val flush :
   Pdw_biochip.Layout.t ->
   ?avoid:Pdw_geometry.Coord.Set.t ->
@@ -86,41 +85,6 @@ val flush :
 val reachable :
   Pdw_biochip.Layout.t -> src:Pdw_geometry.Coord.t -> Pdw_geometry.Coord.Set.t
 
-(** Number of domains (including the caller) used to evaluate a flush's
-    surviving flow ports in parallel.  Defaults to
-    [min 4 (Domain.recommended_domain_count ())]; [1] disables the
-    worker pool.  The flush result is deterministic regardless of this
-    setting — equal-cost ties always go to the earliest pair. *)
+(** Ignored: every flush runs on the calling domain.  Kept only so
+    existing callers still link. *)
 val set_flush_domains : int -> unit
-
-(** The original (pre-{!Search_kernel}) search implementations, kept as
-    the oracle for the kernel equivalence tests.  Semantics and results
-    are identical to {!shortest}, {!cheapest} and {!covering}. *)
-module Reference : sig
-  val shortest :
-    Pdw_biochip.Layout.t ->
-    ?avoid:Pdw_geometry.Coord.Set.t ->
-    src:Pdw_geometry.Coord.t ->
-    dst:Pdw_geometry.Coord.t ->
-    unit ->
-    Pdw_geometry.Gpath.t option
-
-  val cheapest :
-    Pdw_biochip.Layout.t ->
-    ?avoid:Pdw_geometry.Coord.Set.t ->
-    cost:(Pdw_geometry.Coord.t -> int) ->
-    src:Pdw_geometry.Coord.t ->
-    dst:Pdw_geometry.Coord.t ->
-    unit ->
-    Pdw_geometry.Gpath.t option
-
-  val covering :
-    Pdw_biochip.Layout.t ->
-    ?avoid:Pdw_geometry.Coord.Set.t ->
-    ?cost:(Pdw_geometry.Coord.t -> int) ->
-    src:Pdw_geometry.Coord.t ->
-    dst:Pdw_geometry.Coord.t ->
-    targets:Pdw_geometry.Coord.Set.t ->
-    unit ->
-    Pdw_geometry.Gpath.t option
-end

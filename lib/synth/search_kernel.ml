@@ -15,9 +15,10 @@ module Routing = Pdw_biochip.Layout.Routing
    is a monomorphic binary min-heap of packed [dist * ncells + colmajor]
    keys.
 
-   Path identity with the legacy [Router.Reference] implementations is a
-   hard requirement (the planner's metrics must stay byte-identical), so
-   three orders are replicated exactly:
+   Path identity with the legacy router implementations (kept by the
+   tests as [Router_reference]) is a hard requirement (the planner's
+   metrics must stay byte-identical), so three orders are replicated
+   exactly:
    - neighbour enumeration follows [Direction.all] (north, south, west,
      east), the order baked into [Layout.Routing.nbr];
    - the Dijkstra pop order is (dist, Coord.compare) — [Coord.compare]
@@ -51,7 +52,6 @@ type t = {
   mutable epoch : int;
   mutable avoid_epoch : int;
   mutable used_epoch : int;
-  mutable token : int;  (* see [prepare] *)
 }
 
 let create layout =
@@ -79,7 +79,6 @@ let create layout =
     epoch = 0;
     avoid_epoch = 0;
     used_epoch = 0;
-    token = 0;
   }
 
 let layout t = t.layout
@@ -118,7 +117,6 @@ let manhattan_idx t a b =
 (* --- search state preparation ------------------------------------- *)
 
 let set_costs t cost =
-  t.token <- 0;
   for i = 0 to t.rt.Routing.ncells - 1 do
     let step = 1 + cost (coord_of_idx t i) in
     if step < 1 then invalid_arg "Router.cheapest: negative cell cost";
@@ -126,13 +124,11 @@ let set_costs t cost =
   done
 
 let set_unit_costs t =
-  t.token <- 0;
   Array.fill t.costs 0 (Array.length t.costs) 1
 
 let in_bounds t c = Grid.in_bounds (Layout.grid t.layout) c
 
 let set_avoid t avoid =
-  t.token <- 0;
   t.avoid_epoch <- t.avoid_epoch + 1;
   (* Out-of-bounds avoid cells cannot affect a search; skip them. *)
   Coord.Set.iter
@@ -141,7 +137,6 @@ let set_avoid t avoid =
     avoid
 
 let set_targets t targets =
-  t.token <- 0;
   t.targets_len <- 0;
   (* [Coord.Set.elements] is ascending [Coord.compare] order — the order
      the legacy greedy target scan folds in. *)
@@ -151,13 +146,10 @@ let set_targets t targets =
       t.targets_len <- t.targets_len + 1)
     (Coord.Set.elements targets)
 
-let prepare t ~token ?(avoid = Coord.Set.empty) ~cost ~targets () =
-  if t.token <> token || token = 0 then begin
-    set_avoid t avoid;
-    (match cost with None -> set_unit_costs t | Some f -> set_costs t f);
-    set_targets t targets;
-    t.token <- token
-  end
+let prepare t ?(avoid = Coord.Set.empty) ~cost ~targets () =
+  set_avoid t avoid;
+  (match cost with None -> set_unit_costs t | Some f -> set_costs t f);
+  set_targets t targets
 
 (* --- heap of packed (dist, colmajor) keys ------------------------- *)
 
@@ -475,7 +467,7 @@ let fan_path t ~dst =
   append_segment t ~src:t.chain_end ~dst;
   path_of_buf t
 
-let covering t ?(avoid = Coord.Set.empty) ?cost ~src ~dst ~targets () =
+let covering t ?avoid ?cost ~src ~dst ~targets () =
   (* An out-of-bounds target (other than the exempt endpoints) can never
      be visited, so the legacy covering inevitably fails on it. *)
   let oob_target =
@@ -485,9 +477,7 @@ let covering t ?(avoid = Coord.Set.empty) ?cost ~src ~dst ~targets () =
   in
   if oob_target || not (in_bounds t src && in_bounds t dst) then None
   else begin
-    set_avoid t avoid;
-    (match cost with None -> set_unit_costs t | Some f -> set_costs t f);
-    set_targets t targets;
+    prepare t ?avoid ~cost ~targets ();
     let src = idx_of_coord t src and dst = idx_of_coord t dst in
     match covering_run t ~src ~dst with
     | None -> None

@@ -11,12 +11,12 @@
     The searches replicate the legacy [Router] implementations cell for
     cell — same neighbour enumeration order, same frontier tie-breaks,
     same strict-improvement relaxation — so the paths (and therefore
-    every planner metric downstream) are identical.  [Router.Reference]
-    keeps the legacy code as the oracle for the equivalence tests.
+    every planner metric downstream) are identical.  The tests keep the
+    legacy code as [Router_reference], the oracle for the equivalence
+    tests.
 
     Arenas are NOT thread-safe.  Use {!for_layout} to obtain the calling
-    domain's private arena; the router's parallel flush gives each
-    worker domain its own. *)
+    domain's private arena. *)
 
 type t
 
@@ -71,17 +71,17 @@ val covering :
 (** {2 Prepared mode}
 
     The router's flush evaluates many (source, destination) port pairs
-    against one fixed (avoid, cost, targets) configuration.  [prepare]
-    stamps that configuration into the arena once; repeated calls with
-    the same non-zero [token] are no-ops, so a worker domain touching
-    many flow ports of the same flush pays for preparation once. *)
+    against one fixed (avoid, cost, targets) configuration.  It calls
+    [prepare] once to stamp that configuration into the arena, then
+    runs every pair's search against it.  A public single search
+    ({!shortest}, {!cheapest}, {!covering}) re-stamps the arena, so the
+    configuration must be prepared again after one. *)
 
 (** Stamp [avoid], the cost table ([None] = unit costs) and the target
-    set into the arena under [token].  A [token] of [0] always
-    re-prepares. *)
+    set into the arena.
+    @raise Invalid_argument on a negative cost. *)
 val prepare :
   t ->
-  token:int ->
   ?avoid:Pdw_geometry.Coord.Set.t ->
   cost:(Pdw_geometry.Coord.t -> int) option ->
   targets:Pdw_geometry.Coord.Set.t ->

@@ -1,3 +1,12 @@
+(* Exhaustive reference solver for pure 0/1 problems: enumerates every
+   assignment of the variables (each bounded within [0, 1], at most 24
+   of them) and keeps the best feasible one, or [None] when no
+   assignment satisfies the constraints.  The oracle [Simplex]/[Ilp]
+   are checked against on tiny instances. *)
+
+module Lin_expr = Pdw_lp.Lin_expr
+module Lp_problem = Pdw_lp.Lp_problem
+
 let solve_binary (p : Lp_problem.t) =
   let n = p.num_vars in
   if n > 24 then invalid_arg "Brute.solve_binary: too many variables";

@@ -102,10 +102,8 @@ let test_bench_usage_names_every_job () =
       "ilppaths"; "scale"; "sensitivity"; "binding"; "batch"; "ports";
       "speed"; "storage"; "perf"; "serve"; "fleet" ]
 
-(* [bench compare]'s router-work budget: a single-domain snapshot may
-   not run more than 1.1x the baseline's covering searches; with any
-   other domain count the counts vary run to run and the gate stands
-   aside. *)
+(* [bench compare]'s router-work budget: a snapshot may not run more
+   than 1.1x the baseline's covering searches, at any domain count. *)
 let test_compare_router_budget () =
   let snapshot ~domains ~searches =
     let path = Filename.temp_file "bench_solver" ".json" in
@@ -131,7 +129,7 @@ let test_compare_router_budget () =
     [
       ("within budget", 1, 110, 0);
       ("over budget", 1, 111, 1);
-      ("two domains, skipped", 2, 500, 0);
+      ("two domains, over budget", 2, 500, 1);
     ];
   Sys.remove base
 

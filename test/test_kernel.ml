@@ -2,11 +2,11 @@
    layouts, random endpoints, random avoid sets, random costs and random
    target sets, the kernel-backed [Router.shortest] / [cheapest] /
    [covering] must return exactly the same paths as the legacy
-   table-and-set implementations kept in [Router.Reference] — that
+   table-and-set implementations kept in [Router_reference] — that
    identity is what keeps every planner metric byte-identical across
    the perf overhaul.  Plus: arena reuse across many searches (the
-   epoch trick), flush determinism across domain counts against a
-   brute-force oracle, and LRU behaviour of the flush memo. *)
+   epoch trick), the flush against a brute-force oracle, and LRU
+   behaviour of the flush memo. *)
 
 module Coord = Pdw_geometry.Coord
 module Gpath = Pdw_geometry.Gpath
@@ -103,7 +103,7 @@ let prop_shortest_equiv =
       let avoid = random_subset st ~denom:8 cells in
       equal_paths
         (Router.shortest layout ~avoid ~src ~dst ())
-        (Router.Reference.shortest layout ~avoid ~src ~dst ()))
+        (Router_reference.shortest layout ~avoid ~src ~dst ()))
 
 let prop_cheapest_equiv =
   QCheck2.Test.make ~name:"kernel cheapest = reference cheapest" ~count:150
@@ -117,7 +117,7 @@ let prop_cheapest_equiv =
       let cost = random_cost st in
       equal_paths
         (Router.cheapest layout ~avoid ~cost ~src ~dst ())
-        (Router.Reference.cheapest layout ~avoid ~cost ~src ~dst ()))
+        (Router_reference.cheapest layout ~avoid ~cost ~src ~dst ()))
 
 (* When a mid-chain segment sweeps through [dst], the final segment
    duplicates it and [Gpath.of_cells] rejects the walk — in the legacy
@@ -144,7 +144,7 @@ let prop_covering_equiv =
       in
       let reference =
         covering_outcome (fun () ->
-            Router.Reference.covering layout ?cost ~src ~dst ~targets ())
+            Router_reference.covering layout ?cost ~src ~dst ~targets ())
       in
       match (kernel, reference) with
       | Ok a, Ok b -> (
@@ -208,7 +208,7 @@ let reference_flush layout ~avoid ?cost ~targets () =
       List.iter
         (fun (wp : Port.t) ->
           match
-            Router.Reference.covering layout ~avoid ?cost ~src:fp.Port.position
+            Router_reference.covering layout ~avoid ?cost ~src:fp.Port.position
               ~dst:wp.Port.position ~targets ()
           with
           | None -> ()
@@ -239,9 +239,9 @@ let flush_outcome f =
    flushes and PDW's held-cell [avoid] with conflict costs, on half the
    cases each; plus waste ports that are targets or avoided, which take
    the per-pair covering search instead of the shared chain. *)
-let prop_flush_matches_oracle_and_domains =
+let prop_flush_matches_oracle =
   QCheck2.Test.make
-    ~name:"flush = brute-force oracle at 1 and 2 domains" ~count:200
+    ~name:"flush = brute-force oracle" ~count:200
     QCheck2.Gen.(int_range 0 1_000_000)
     (fun seed ->
       let st = Random.State.make [| seed; 4 |] in
@@ -270,15 +270,10 @@ let prop_flush_matches_oracle_and_domains =
         flush_outcome (fun () -> reference_flush layout ~avoid ?cost ~targets ())
       in
       (* A present [~avoid] (even empty) skips the memo table. *)
-      let flush domains =
-        Router.set_flush_domains domains;
+      let got =
         flush_outcome (fun () -> Router.flush layout ~avoid ?cost ~targets ())
       in
-      let seq = flush 1 in
-      let par = flush 2 in
-      Router.set_flush_domains 1;
-      Alcotest.(check string) "sequential flush" expected seq;
-      Alcotest.(check string) "parallel flush" expected par;
+      Alcotest.(check string) "flush" expected got;
       true)
 
 (* --- flush memo: LRU + eviction counter ---------------------------- *)
@@ -328,6 +323,6 @@ let () =
       ("arena", [ Alcotest.test_case "epoch reuse" `Quick test_epoch_reuse ]);
       ( "flush",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_flush_matches_oracle_and_domains ] );
+          [ prop_flush_matches_oracle ] );
       ("memo", [ Alcotest.test_case "LRU eviction" `Quick test_memo_lru ]);
     ]

@@ -7,7 +7,6 @@ module Lp_problem = Pdw_lp.Lp_problem
 module Simplex = Pdw_lp.Simplex
 module Ilp = Pdw_lp.Ilp
 module Model = Pdw_lp.Model
-module Brute = Pdw_lp.Brute
 
 let bounds ?(lb = 0.0) ?ub () : Lp_problem.bounds =
   { lower = lb; upper = ub }

@@ -393,37 +393,19 @@ let test_pool_dedicated () =
   (* Each queue saw at least one enqueue, so each peak is positive, and
      a peak never exceeds what was ever enqueued there. *)
   Array.iteri
-    (fun i p ->
+    (fun i (w : Pool.worker_stats) ->
       Alcotest.(check bool)
         (Printf.sprintf "worker %d peak in [1..%d]" i jobs_per_worker)
         true
-        (p >= 1 && p <= jobs_per_worker))
-    (Pool.peak_per_worker pool);
-  Alcotest.(check int) "nothing left pending" 0 (Pool.pending pool);
+        (w.peak >= 1 && w.peak <= jobs_per_worker);
+      Alcotest.(check int)
+        (Printf.sprintf "worker %d has nothing pending" i)
+        0 w.pending)
+    (Pool.worker_stats pool);
   Pool.shutdown pool;
   match Pool.submit_to pool 0 (fun () -> ()) with
   | () -> Alcotest.fail "submit_to accepted a job after shutdown"
   | exception Invalid_argument _ -> ()
-
-let test_pool_round_robin () =
-  let pool = Pool.create ~size:2 ~dedicated:true () in
-  let total = 10 in
-  let seen = Atomic.make 0 in
-  for _ = 1 to total do
-    Pool.submit pool (fun () -> Atomic.incr seen)
-  done;
-  let deadline = Unix.gettimeofday () +. 5.0 in
-  while Atomic.get seen < total && Unix.gettimeofday () < deadline do
-    Thread.delay 0.01
-  done;
-  Alcotest.(check int) "all round-robin jobs ran" total (Atomic.get seen);
-  (* Round-robin spreads the backlog: both private queues were used. *)
-  Array.iteri
-    (fun i p ->
-      Alcotest.(check bool) (Printf.sprintf "worker %d saw work" i) true
-        (p >= 1))
-    (Pool.peak_per_worker pool);
-  Pool.shutdown pool
 
 (* --- the daemon, end to end --- *)
 
@@ -1750,7 +1732,6 @@ let () =
         [
           Alcotest.test_case "dedicated per-worker queues" `Quick
             test_pool_dedicated;
-          Alcotest.test_case "round-robin submit" `Quick test_pool_round_robin;
         ] );
       ( "daemon",
         [
